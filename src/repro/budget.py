@@ -396,6 +396,11 @@ class Budget:
         """
         self._listeners.append(listener)
 
+    def off_checkpoint(self, listener) -> None:
+        """Unregister a listener added by :meth:`on_checkpoint` (if present)."""
+        if listener in self._listeners:
+            self._listeners.remove(listener)
+
     def checkpoint(self, units: int = 1, where: str = "") -> None:
         """Consume ``units`` and raise if a limit is crossed.
 

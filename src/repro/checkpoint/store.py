@@ -68,7 +68,7 @@ from repro.relation.io import atomic_write, fsync_directory
 from repro.testing.faults import fault_point
 
 #: Bumped whenever the snapshot byte format changes; a mismatch quarantines.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: First bytes of every snapshot file (the NUL keeps it off the header line).
 MAGIC = b"repro-ckpt\x00"
@@ -656,6 +656,11 @@ class CheckpointStore:
         """
         if budget is not None:
             budget.on_checkpoint(self._heartbeat)
+
+    def detach(self, budget) -> None:
+        """Stop heartbeating off ``budget`` (undoes :meth:`attach`)."""
+        if budget is not None:
+            budget.off_checkpoint(self._heartbeat)
 
     def _heartbeat(self, units_used: int, where: str) -> None:
         self._last_units = units_used

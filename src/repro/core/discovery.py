@@ -4,9 +4,24 @@ Chains the paper's pipeline -- tuple clustering, value clustering, attribute
 grouping, dependency mining, minimum cover, FD-RANK -- and renders a compact
 text report of everything a data (re)designer would want to see.
 
-Every stage runs under a **stage guard**: failures and budget exhaustion are
-caught, a deterministic fallback is attempted (the *degradation ladder*),
-and the outcome is recorded as a :class:`StageOutcome` so the report's
+Each run builds a **stage table** of six rows, one per stage: a primary
+path, deterministic fallbacks (the *degradation ladder*), a default result
+and a ``skip`` precondition.  One loop,
+:meth:`StructureDiscovery._checkpointed`, walks the table and treats every
+stage the same way, in this order:
+
+1. reuse the stage's checkpoint snapshot when resuming;
+2. pre-apply supervisor escalations (``_MemoryLadder.force``);
+3. ``skip``: a stage with nothing to do, or whose outcome an upstream
+   failure already decides, records that and stops here;
+4. the ``discovery.<stage>`` fault point, then the primary path;
+5. on :class:`repro.errors.MemoryLimitExceeded`, climb the memory ladder
+   and retry the primary;
+6. :class:`repro.errors.StageFailure` in strict mode; otherwise the
+   fallbacks in order, then the default;
+7. snapshot the stage while every outcome so far is ``ok``.
+
+Each stage's outcome is recorded as a :class:`StageOutcome` so the report's
 health section explains exactly what ran, what degraded, and which fallback
 was applied -- instead of losing the whole run to one bad stage.  Pass
 ``strict=True`` to get the old all-or-nothing behaviour as a
@@ -56,6 +71,7 @@ checkpointed, so a resumed capped run recomputes them bit-identically.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro import kernels
@@ -81,6 +97,15 @@ from repro.testing.faults import fault_point
 
 #: Above this tuple count the quadratic FDEP miner is swapped for TANE.
 _FDEP_TUPLE_LIMIT = 2000
+
+
+def resolve_miner(miner: str, n_tuples: int) -> str:
+    """The exact miner to run: ``miner`` itself unless it is ``"auto"``,
+    which picks FDEP up to ``_FDEP_TUPLE_LIMIT`` tuples and TANE above."""
+    if miner != "auto":
+        return miner
+    return "fdep" if n_tuples <= _FDEP_TUPLE_LIMIT else "tane"
+
 
 #: Deterministic-sample size used by degraded mining / value clustering.
 _SAMPLE_CAP = 150
@@ -239,11 +264,9 @@ class _MemoryLadder:
     def climb(self) -> str | None:
         """Apply the next applicable rung; ``None`` once fully exhausted."""
         while self._next_rung < len(self.RUNGS):
-            rung = self.RUNGS[self._next_rung]
-            self._next_rung += 1
-            if self._apply(rung):
-                self.applied.append(rung)
-                return rung
+            applied = self.force(self._next_rung + 1)
+            if applied:
+                return applied[0]
         return None
 
     def force(self, count: int) -> list[str]:
@@ -311,6 +334,24 @@ class _MemoryLadder:
 #: backend-parity guarantee).  A supervised escalation that applies only
 #: these does not mark the report degraded.
 _IDENTITY_RUNGS = frozenset({"sparse-backend"})
+
+
+@dataclass
+class _Stage:
+    """One row of a run's stage table (see the module docstring).
+
+    ``primary`` computes the stage.  ``fallbacks`` are ``(name, thunk)``
+    rungs tried in order when it fails; the first that succeeds marks the
+    stage ``degraded``, and when all fail the stage is ``failed`` with
+    ``default`` as its result.  ``skip`` returns ``(result, outcome)`` when
+    the stage must not run at all, else ``None``.
+    """
+
+    name: str
+    primary: Callable[[], object]
+    fallbacks: tuple = ()
+    default: object = None
+    skip: Callable[[], tuple | None] = lambda: None
 
 
 @dataclass
@@ -573,9 +614,14 @@ class StructureDiscovery:
         :class:`repro.parallel.ShardedExecutor`: LIMBO Phase 1 shards, the
         FD miners' fan-outs and the grouping's candidate build distribute
         across that many worker processes.  The shard layout depends only
-        on the data, so any worker count yields bit-identical reports; an
-        extra ``"parallel"`` entry in the health section records whether
-        the pool ran cleanly or degraded to sequential execution.
+        on the data, so every worker count ``>= 1`` yields a bit-identical
+        report; an extra ``"parallel"`` entry in the health section records
+        whether the pool ran cleanly or degraded to sequential execution.
+        ``None`` is not in that set: its LIMBO Phase 1 inserts objects into
+        a DCF tree one by one where ``workers >= 1`` summarizes shards
+        (grouping identical rows at ``phi = 0``), so summaries, duplicate
+        value groups, rankings and the dendrogram can differ.  At ``phi = 0`` the tree is the one in error: it can
+        split objects with identical ``p(T|v)`` rows across summaries.
     start_method:
         Multiprocessing start method for the pool (``"fork"`` /
         ``"spawn"``); ``None`` resolves from the platform and the
@@ -731,127 +777,22 @@ class StructureDiscovery:
         fingerprint to content-address its model cache, so two requests
         differing in any result-affecting knob can never share a model.
 
-        Budget and deadline are deliberately absent: stage snapshots are
-        only written along a fully-healthy prefix, whose results do not
-        depend on how much budget remained.  ``workers`` and ``backend``
-        are included conservatively -- reports are bit-identical across
-        both, but refusing cross-configuration reuse keeps that guarantee
-        testable rather than assumed.
+        It is the supervisor child's constructor spec minus ``strict`` and
+        ``start_method``, which never change a saved snapshot.  Budget and
+        deadline are deliberately absent: stage snapshots are only written
+        along a fully-healthy prefix, whose results do not depend on how
+        much budget remained.  ``backend`` is included conservatively --
+        both backends give bit-identical reports, but refusing
+        cross-backend reuse keeps that guarantee testable rather than
+        assumed.  ``workers`` is included because ``workers=None`` runs
+        another LIMBO Phase-1 algorithm than ``workers >= 1`` (see the
+        class docstring).  Memory settings change which configurations a
+        stage may have degraded under, so they are included too.
         """
-        return {
-            "phi_t": self.phi_t,
-            "phi_v": self.phi_v,
-            "double_clustering_phi_t": self.double_clustering_phi_t,
-            "psi": self.psi,
-            "miner": self.miner,
-            "fd_mode": self.fd_mode,
-            "fd_k": self.fd_k,
-            "fd_alpha": self.fd_alpha,
-            "fd_max_lhs": self.fd_max_lhs,
-            "seed": self.seed,
-            "backend": self.backend,
-            "workers": self.workers,
-            # Memory governance changes which configurations a stage may
-            # have degraded under, so capped and uncapped runs (and runs
-            # with different caps) never share snapshots.
-            "memory_limit_bytes": self.memory_limit,
-            "on_memory_pressure": self.on_memory_pressure,
-            "max_leaf_entries": self.max_leaf_entries,
-        }
-
-    #: Backwards-compatible private spelling (pre-service callers/tests).
-    _manifest_params = manifest_params
-
-    # -- the stage guard ---------------------------------------------------------
-
-    def _guarded(self, stage, outcomes, primary, fallbacks=(), default=None,
-                 ladder=None):
-        """Run ``primary`` under the stage guard.
-
-        ``fallbacks`` is a sequence of ``(name, thunk)`` rungs tried in
-        order when the primary path raises; the first rung that succeeds
-        marks the stage ``degraded``.  When every rung fails the stage is
-        ``failed`` and ``default`` is returned.  ``KeyboardInterrupt``
-        always propagates (the CLI maps it to exit code 130).
-
-        :class:`MemoryLimitExceeded` gets special treatment: under
-        ``on_memory_pressure="fail"`` it propagates unchanged; otherwise,
-        when a ``ladder`` is active, the *primary* path is retried after
-        each rung -- the memory ladder reconfigures the stage rather than
-        replacing it, so a pressured stage still runs the real algorithm,
-        just cheaper.  Only if the ladder runs dry does the stage fall
-        through to its ordinary fallbacks.
-        """
-        try:
-            fault_point(f"discovery.{stage}")
-            result = primary()
-            outcomes.append(StageOutcome(stage=stage, status="ok"))
-            return result
-        except KeyboardInterrupt:
-            raise
-        except MemoryLimitExceeded as exc:
-            if self.on_memory_pressure == "fail":
-                raise
-            detail = f"memory limit exceeded: {exc}"
-            cause = exc
-            if ladder is not None and not self.strict:
-                retried = self._climb_and_retry(stage, outcomes, primary,
-                                                ladder, detail)
-                if retried is not None:
-                    return retried[0]
-        except ResourceLimitExceeded as exc:
-            detail = f"budget exhausted: {exc}"
-            cause = exc
-        except Exception as exc:
-            detail = f"{type(exc).__name__}: {exc}"
-            cause = exc
-        if self.strict:
-            raise StageFailure(
-                f"stage {stage!r} failed: {detail}",
-                stage=stage, cause=detail,
-            ) from cause
-        for name, thunk in fallbacks:
-            try:
-                result = thunk()
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                detail += f"; fallback {name!r} also failed ({exc})"
-                continue
-            outcomes.append(
-                StageOutcome(stage=stage, status="degraded",
-                             detail=detail, fallback=name)
-            )
-            return result
-        outcomes.append(StageOutcome(stage=stage, status="failed", detail=detail))
-        return default
-
-    def _climb_and_retry(self, stage, outcomes, primary, ladder, detail):
-        """Retry ``primary`` up the memory ladder.
-
-        Returns ``(result,)`` once a rung lets the primary path finish
-        (the stage is recorded ``degraded`` with the rungs applied), or
-        ``None`` when the ladder is exhausted and the stage should fall
-        through to its ordinary fallbacks.  The final ``best-effort``
-        rung disables governor enforcement, so this loop terminates.
-        """
-        while True:
-            rung = ladder.climb()
-            if rung is None:
-                return None
-            try:
-                result = primary()
-            except KeyboardInterrupt:
-                raise
-            except MemoryLimitExceeded:
-                continue
-            except Exception:
-                return None
-            outcomes.append(StageOutcome(
-                stage=stage, status="degraded", detail=detail,
-                fallback=f"memory ladder: {ladder.describe()}",
-            ))
-            return (result,)
+        params = {key: value for key, value in self._spec.items()
+                  if key not in ("strict", "start_method")}
+        params["memory_limit_bytes"] = params.pop("memory_limit")
+        return params
 
     # -- the pipeline ------------------------------------------------------------
 
@@ -870,6 +811,9 @@ class StructureDiscovery:
         manifest: snapshots stay shared across supervised attempts, and
         escalated stages are never snapshotted (result-affecting rungs mark
         the run degraded, which already blocks saves).
+
+        The caller's budget leaves as it came: a governor lent to it for
+        ``memory_limit`` and the store's heartbeat listener are taken off.
         """
         if self.supervise is not None:
             from repro.supervisor import Supervisor
@@ -879,44 +823,74 @@ class StructureDiscovery:
             )
             return self._verified(report, relation)
         budget = budget if budget is not None else self.budget
-        if self.memory_limit is not None:
-            if budget is None:
-                budget = Budget(max_memory_bytes=self.memory_limit)
-            elif getattr(budget, "memory", None) is None:
-                budget.max_memory_bytes = self.memory_limit
-                budget.memory = MemoryGovernor(self.memory_limit)
         governor = getattr(budget, "memory", None)
+        lent = None  # a budget carrying this run's governor until it ends
+        if self.memory_limit is not None and governor is None:
+            lent = budget = budget if budget is not None else Budget()
+            budget.max_memory_bytes = self.memory_limit
+            budget.memory = governor = MemoryGovernor(self.memory_limit)
         outcomes: list[StageOutcome] = []
-
         store = self.checkpoint
-        if store is not None:
-            store.open_run(relation, self.manifest_params())
-            store.attach(budget)
-
         executor = None
-        if self.workers is not None:
-            from repro.parallel import ShardedExecutor
-
-            executor = ShardedExecutor(
-                workers=self.workers, start_method=self.start_method,
-                budget=budget,
-            )
-            if governor is not None and executor.max_worker_memory_bytes is None:
-                # Split the cap across the pool: a worker that outgrows its
-                # share is treated like a crashed worker (retry once, then
-                # sticky-sequential with smaller shards).
-                executor.max_worker_memory_bytes = max(
-                    1, governor.max_bytes // max(1, executor.workers)
-                )
-        ladder = None
         try:
-            report, ladder = self._run_stages(
-                relation, budget, outcomes, executor, store,
-                escalations=escalations,
+            if store is not None:
+                store.open_run(relation, self.manifest_params())
+                store.attach(budget)
+            if self.workers is not None:
+                from repro.parallel import ShardedExecutor
+
+                executor = ShardedExecutor(
+                    workers=self.workers, start_method=self.start_method,
+                    budget=budget,
+                )
+                if (governor is not None
+                        and executor.max_worker_memory_bytes is None):
+                    # Split the cap across the pool: a worker that outgrows
+                    # its share is treated like a crashed worker (retry
+                    # once, then sticky-sequential with smaller shards).
+                    executor.max_worker_memory_bytes = max(
+                        1, governor.max_bytes // max(1, executor.workers)
+                    )
+            # The knobs the memory ladder may steer mid-run.  Ungoverned
+            # runs (or policy "fail" / strict mode) get no ladder and the
+            # params stay exactly the configured ones; supervised
+            # escalation needs one even then, with governor-dependent rungs
+            # consumed as no-ops.
+            eff = _EffectiveParams(
+                phi_t=self.phi_t,
+                phi_v=self.phi_v,
+                double_clustering_phi_t=self.double_clustering_phi_t,
+                backend=self.backend,
+                max_leaf_entries=self.max_leaf_entries,
+                relation=relation,
             )
+            ladder = None
+            if escalations or (governor is not None
+                               and self.on_memory_pressure == "degrade"
+                               and not self.strict):
+                ladder = _MemoryLadder(eff, governor)
+            done: dict = {}
+            for row in self._stage_table(relation, budget, executor, store,
+                                         eff, done):
+                done[row.name] = self._checkpointed(
+                    row.name, row, outcomes, store, ladder, escalations or {})
         finally:
             if executor is not None:
                 executor.close()
+            if store is not None:
+                store.detach(budget)
+            if lent is not None:
+                lent.max_memory_bytes = lent.memory = None
+        report = DiscoveryReport(
+            relation=relation,
+            tuple_clustering=done["tuple_clustering"],
+            value_clustering=done["value_clustering"],
+            attribute_grouping=done["attribute_grouping"],
+            dependencies=done["mining"],
+            cover=done["cover"],
+            ranked=done["rank"],
+            outcomes=outcomes,
+        )
         if executor is not None:
             if not executor.events:
                 outcomes.append(StageOutcome(
@@ -1014,21 +988,28 @@ class StructureDiscovery:
         return StageOutcome(stage="memory", status="ok",
                             detail="; ".join(parts))
 
-    def _checkpointed(self, stage, store, outcomes, compute,
-                      ladder=None, escalations=None):
-        """Load a stage snapshot, or compute and (when healthy) save one.
+    def _checkpointed(self, stage, row, outcomes, store, ladder, escalations):
+        """Run one row of the stage table: the loop body every stage shares.
 
-        A snapshot carries both the stage result and the
-        :class:`StageOutcome` entries the stage appended, so a resumed run
-        replays the exact health lines.  Saves happen only while *every*
-        outcome so far is ``ok``: a degraded result reflects the budget
-        that degraded it, so persisting it would freeze the degradation
-        into later runs -- recomputing instead lets a resume with a fresh
-        budget heal the stage.
+        The module docstring lists its steps in order; ``stage`` (the row's
+        name) comes first so that one wrapper around this method sees each
+        stage by name.  Why the steps are as they are:
 
-        Supervisor escalations apply here, after the snapshot miss and
-        before the stage body: a poison stage only ever escalates when it
-        is actually about to recompute.
+        * A snapshot carries the stage result and its outcome, so a resumed
+          run replays the exact health lines.  One is saved only while
+          *every* outcome so far is ``ok``: a degraded result reflects the
+          budget that degraded it, so persisting it would freeze the
+          degradation into later runs.
+        * Escalation follows a snapshot miss, so a poison stage escalates
+          only when it is about to recompute.  Rungs in
+          :data:`_IDENTITY_RUNGS` keep the report byte-identical and
+          escalate silently (``incident.json`` still logs them); stronger
+          ones add a ``supervisor`` entry, which also blocks saves.
+        * The memory ladder reconfigures the stage rather than replacing
+          it, so a pressured stage still runs the real algorithm, just
+          cheaper; the last rung stops enforcement, so the retries end.
+        * ``KeyboardInterrupt`` always propagates (the CLI maps it to exit
+          code 130).
         """
         if store is not None:
             store.enter_stage(stage)
@@ -1036,255 +1017,204 @@ class StructureDiscovery:
             if snapshot is not None:
                 outcomes.extend(snapshot["outcomes"])
                 return snapshot["result"]
-        self._apply_escalation(stage, outcomes, ladder, escalations)
-        before = len(outcomes)
-        result = compute()
+        if ladder is not None:
+            applied = ladder.force(escalations.get(stage, 0))
+            if any(rung not in _IDENTITY_RUNGS for rung in applied):
+                outcomes.append(StageOutcome(
+                    stage="supervisor", status="degraded",
+                    detail=(f"degradation ladder escalated before {stage!r} "
+                            "after repeated supervised failures"),
+                    fallback=f"ladder: {' -> '.join(applied)}",
+                ))
+        result, outcome = row.skip() or (None, None)
+        if outcome is None:
+            try:
+                fault_point(f"discovery.{stage}")
+                result = row.primary()
+                outcome = StageOutcome(stage=stage, status="ok")
+            except MemoryLimitExceeded as exc:
+                if self.on_memory_pressure == "fail":
+                    raise
+                detail, cause = f"memory limit exceeded: {exc}", exc
+                while (ladder is not None and not self.strict
+                       and ladder.climb() is not None):
+                    try:
+                        result = row.primary()
+                    except MemoryLimitExceeded:
+                        continue
+                    except Exception:
+                        break
+                    outcome = StageOutcome(
+                        stage=stage, status="degraded", detail=detail,
+                        fallback=f"memory ladder: {ladder.describe()}",
+                    )
+                    break
+            except ResourceLimitExceeded as exc:
+                detail, cause = f"budget exhausted: {exc}", exc
+            except Exception as exc:
+                detail, cause = f"{type(exc).__name__}: {exc}", exc
+        if outcome is None:
+            if self.strict:
+                raise StageFailure(
+                    f"stage {stage!r} failed: {detail}",
+                    stage=stage, cause=detail,
+                ) from cause
+            for name, fallback in row.fallbacks:
+                try:
+                    result = fallback()
+                except Exception as exc:
+                    detail += f"; fallback {name!r} also failed ({exc})"
+                    continue
+                outcome = StageOutcome(stage=stage, status="degraded",
+                                       detail=detail, fallback=name)
+                break
+            else:
+                result = row.default
+                outcome = StageOutcome(stage=stage, status="failed",
+                                       detail=detail)
+        outcomes.append(outcome)
         if store is not None and all(o.ok for o in outcomes):
-            store.save_stage(stage, {
-                "result": result,
-                "outcomes": outcomes[before:],
-            })
+            store.save_stage(stage, {"result": result, "outcomes": [outcome]})
         return result
 
-    def _apply_escalation(self, stage, outcomes, ladder, escalations):
-        """Pre-apply supervised ladder rungs for a poison stage.
+    def _stage_table(self, relation, budget, executor, store, eff, done):
+        """The six rows of one run, in :data:`STAGES` order.
 
-        Rungs in :data:`_IDENTITY_RUNGS` keep the report byte-identical so
-        they escalate silently (the supervisor still logs them in
-        ``incident.json``); anything stronger marks the run degraded via a
-        ``supervisor`` health entry, which also blocks checkpointing of the
-        escalated results.
+        Rows read the knobs the memory ladder steers from ``eff``, and the
+        results of earlier stages from ``done``, when they run.
         """
-        count = (escalations or {}).get(stage, 0)
-        if not count or ladder is None:
-            return
-        applied = ladder.force(count)
-        affecting = [rung for rung in applied if rung not in _IDENTITY_RUNGS]
-        if affecting:
-            outcomes.append(StageOutcome(
-                stage="supervisor", status="degraded",
-                detail=(f"degradation ladder escalated before {stage!r} "
-                        "after repeated supervised failures"),
-                fallback=f"ladder: {' -> '.join(applied)}",
-            ))
-
-    def _run_stages(
-        self, relation, budget, outcomes, executor, store=None,
-        escalations=None,
-    ):
-        def _handle(stage):
+        def handle(stage):
             return store.stage_handle(stage) if store is not None else None
 
-        # The knobs the memory ladder may steer mid-run.  Ungoverned runs
-        # (or policy "fail" / strict mode) get no ladder and the params
-        # stay exactly the configured ones.
-        eff = _EffectiveParams(
-            phi_t=self.phi_t,
-            phi_v=self.phi_v,
-            double_clustering_phi_t=self.double_clustering_phi_t,
-            backend=self.backend,
-            max_leaf_entries=self.max_leaf_entries,
-            relation=relation,
-        )
-        governor = getattr(budget, "memory", None)
-        ladder = None
-        if (
-            governor is not None
-            and self.on_memory_pressure == "degrade"
-            and not self.strict
-        ):
-            ladder = _MemoryLadder(eff, governor)
-        if escalations and ladder is None:
-            # Supervised escalation needs a ladder even on ungoverned runs;
-            # governor-dependent rungs are consumed as no-ops then.
-            ladder = _MemoryLadder(eff, governor)
-
-        tuples = self._checkpointed(
-            "tuple_clustering", store, outcomes,
-            lambda: self._guarded(
-                "tuple_clustering", outcomes,
-                primary=lambda: cluster_tuples(
-                    eff.relation, phi_t=eff.phi_t, budget=budget,
-                    backend=eff.backend, executor=executor,
-                    checkpoint=_handle("tuple_clustering"),
-                    max_leaf_entries=eff.max_leaf_entries,
-                ),
-                fallbacks=[
-                    ("exact-duplicate scan",
-                     lambda: _exact_duplicate_groups(relation)),
-                ],
-                default=TupleClusteringResult(
-                    relation=relation, view=None, limbo=None,
-                    assignment=[], duplicate_groups=[],
-                ),
-                ladder=ladder,
-            ),
-            ladder=ladder, escalations=escalations,
-        )
-
-        values = self._checkpointed(
-            "value_clustering", store, outcomes,
-            lambda: self._guarded(
-                "value_clustering", outcomes,
-                primary=lambda: cluster_values(
-                    eff.relation, phi_v=eff.phi_v,
-                    phi_t=eff.double_clustering_phi_t, budget=budget,
-                    backend=eff.backend, executor=executor,
-                    checkpoint=_handle("value_clustering"),
-                    max_leaf_entries=eff.max_leaf_entries,
-                ),
-                fallbacks=[
-                    (
-                        f"exact clustering of a {_SAMPLE_CAP}-tuple sample",
-                        lambda: cluster_values(
-                            deterministic_sample(relation), phi_v=0.0,
-                            phi_t=None,
-                        ),
-                    ),
-                ],
-                default=ValueClusteringResult(
-                    relation=relation, view=None, limbo=None, groups=[],
-                ),
-                ladder=ladder,
-            ),
-            ladder=ladder, escalations=escalations,
-        )
-
-        def _grouping_stage():
-            if values.duplicate_groups:
-                grouping = self._guarded(
-                    "attribute_grouping", outcomes,
-                    primary=lambda: group_attributes(
-                        value_clustering=values, budget=budget,
-                        backend=eff.backend, executor=executor,
-                        checkpoint=_handle("attribute_grouping"),
-                    ),
-                    default=None,
-                    ladder=ladder,
+        def skip_grouping():
+            if not done["value_clustering"].duplicate_groups:
+                return None, StageOutcome(
+                    stage="attribute_grouping", status="ok",
+                    detail="skipped: no duplicate value groups to cluster",
                 )
-                return grouping, grouping is None
-            outcomes.append(StageOutcome(
-                stage="attribute_grouping", status="ok",
-                detail="skipped: no duplicate value groups to cluster",
-            ))
-            return None, False
+            return None
 
-        grouping, grouping_failed = self._checkpointed(
-            "attribute_grouping", store, outcomes, _grouping_stage,
-            ladder=ladder, escalations=escalations,
-        )
+        def skip_cover():
+            if self.fd_mode == "exact":
+                return None
+            # Top-k miner output is already minimal *for its purpose* (a
+            # ranked shortlist, not a closure-complete cover); running
+            # Maier's exhaustive cover over it would only discard
+            # evidence.  Feed the FDs straight to FD-RANK.
+            return [entry.fd for entry in done["mining"]], StageOutcome(
+                stage="cover", status="ok",
+                detail="skipped: reliable top-k output feeds FD-RANK "
+                       "directly",
+            )
+
+        def skip_rank():
+            cover, grouping = done["cover"], done["attribute_grouping"]
+            if cover and grouping is not None:
+                return None
+            if cover and done["value_clustering"].duplicate_groups:
+                # The grouping stage ran and *failed* (rather than having
+                # nothing to group): keep the cover visible in rank
+                # position anyway.
+                return _unranked_cover(cover), StageOutcome(
+                    stage="rank", status="degraded",
+                    detail="attribute grouping failed upstream",
+                    fallback="cover order, unranked (singleton grouping)",
+                )
+            reason = (
+                "no dependencies to rank" if not cover
+                else "no attribute grouping (nothing to rank against)"
+            )
+            return [], StageOutcome(stage="rank", status="ok",
+                                    detail=f"skipped: {reason}")
 
         if self.fd_mode == "exact":
-            mining_fallbacks = [
-                (
-                    f"FDEP over a {_SAMPLE_CAP}-tuple deterministic sample",
-                    lambda: fdep(deterministic_sample(relation)),
-                ),
-            ]
+            sampled_mining = (
+                f"FDEP over a {_SAMPLE_CAP}-tuple deterministic sample",
+                lambda: fdep(deterministic_sample(relation)),
+            )
         else:
             # The reliable rung of the ladder: rescore on a seeded row
             # sample.  Results carry sampled=True and per-FD confidence
             # radii, the stage is recorded degraded (so it is never
             # checkpointed as exact), and the flag survives into the
             # rendered score list.
-            mining_fallbacks = [
-                (
-                    f"reliable miner over a seeded {_SAMPLE_CAP}-row "
-                    f"sample (confidence {1.0 - self.fd_alpha:g})",
-                    lambda: mine_reliable_fds(
-                        relation, mode=self.fd_mode, k=self.fd_k,
-                        alpha=self.fd_alpha, seed=self.seed,
-                        max_lhs_size=self.fd_max_lhs,
-                        sample_rows=_SAMPLE_CAP,
-                    ),
+            sampled_mining = (
+                f"reliable miner over a seeded {_SAMPLE_CAP}-row "
+                f"sample (confidence {1.0 - self.fd_alpha:g})",
+                lambda: mine_reliable_fds(
+                    relation, mode=self.fd_mode, k=self.fd_k,
+                    alpha=self.fd_alpha, seed=self.seed,
+                    max_lhs_size=self.fd_max_lhs, sample_rows=_SAMPLE_CAP,
                 ),
-            ]
-
-        dependencies = self._checkpointed(
-            "mining", store, outcomes,
-            lambda: self._guarded(
-                "mining", outcomes,
-                primary=lambda: self._mine(eff.relation, budget, executor),
-                fallbacks=mining_fallbacks,
-                default=[],
-                ladder=ladder,
+            )
+        return (
+            _Stage(
+                "tuple_clustering",
+                primary=lambda: cluster_tuples(
+                    eff.relation, phi_t=eff.phi_t, budget=budget,
+                    backend=eff.backend, executor=executor,
+                    checkpoint=handle("tuple_clustering"),
+                    max_leaf_entries=eff.max_leaf_entries,
+                ),
+                fallbacks=(("exact-duplicate scan",
+                            lambda: _exact_duplicate_groups(relation)),),
+                default=TupleClusteringResult(
+                    relation=relation, view=None, limbo=None,
+                    assignment=[], duplicate_groups=[],
+                ),
             ),
-            ladder=ladder, escalations=escalations,
-        )
-
-        def _cover_stage():
-            if self.fd_mode != "exact":
-                # Top-k miner output is already minimal *for its purpose*
-                # (a ranked shortlist, not a closure-complete cover);
-                # running Maier's exhaustive cover over it would only
-                # discard evidence.  Feed the FDs straight to FD-RANK.
-                outcomes.append(StageOutcome(
-                    stage="cover", status="ok",
-                    detail="skipped: reliable top-k output feeds FD-RANK "
-                           "directly",
-                ))
-                return [entry.fd for entry in dependencies]
-            return self._guarded(
-                "cover", outcomes,
-                primary=lambda: minimum_cover(dependencies),
-                fallbacks=[
-                    ("raw mined dependencies", lambda: list(dependencies)),
-                ],
+            _Stage(
+                "value_clustering",
+                primary=lambda: cluster_values(
+                    eff.relation, phi_v=eff.phi_v,
+                    phi_t=eff.double_clustering_phi_t, budget=budget,
+                    backend=eff.backend, executor=executor,
+                    checkpoint=handle("value_clustering"),
+                    max_leaf_entries=eff.max_leaf_entries,
+                ),
+                fallbacks=((f"exact clustering of a {_SAMPLE_CAP}-tuple sample",
+                            lambda: cluster_values(
+                                deterministic_sample(relation), phi_v=0.0,
+                                phi_t=None,
+                            )),),
+                default=ValueClusteringResult(
+                    relation=relation, view=None, limbo=None, groups=[],
+                ),
+            ),
+            _Stage(
+                "attribute_grouping",
+                primary=lambda: group_attributes(
+                    value_clustering=done["value_clustering"], budget=budget,
+                    backend=eff.backend, executor=executor,
+                    checkpoint=handle("attribute_grouping"),
+                ),
+                skip=skip_grouping,
+            ),
+            _Stage(
+                "mining",
+                primary=lambda: self._mine(eff.relation, budget, executor),
+                fallbacks=(sampled_mining,),
                 default=[],
-            )
-
-        cover = self._checkpointed(
-            "cover", store, outcomes, _cover_stage,
-            ladder=ladder, escalations=escalations,
+            ),
+            _Stage(
+                "cover",
+                primary=lambda: minimum_cover(done["mining"]),
+                fallbacks=(("raw mined dependencies",
+                            lambda: list(done["mining"])),),
+                default=[],
+                skip=skip_cover,
+            ),
+            _Stage(
+                "rank",
+                primary=lambda: fd_rank(done["cover"],
+                                        done["attribute_grouping"],
+                                        psi=self.psi),
+                fallbacks=(("cover order, unranked (singleton grouping)",
+                            lambda: _unranked_cover(done["cover"])),),
+                default=[],
+                skip=skip_rank,
+            ),
         )
-
-        def _rank_stage():
-            if cover and grouping is not None:
-                return self._guarded(
-                    "rank", outcomes,
-                    primary=lambda: fd_rank(cover, grouping, psi=self.psi),
-                    fallbacks=[
-                        ("cover order, unranked (singleton grouping)",
-                         lambda: _unranked_cover(cover)),
-                    ],
-                    default=[],
-                )
-            if cover and grouping_failed:
-                # The grouping stage *failed* (rather than having nothing
-                # to group): keep the cover visible in rank position anyway.
-                ranked = self._guarded(
-                    "rank", outcomes,
-                    primary=lambda: self._rank_without_grouping(cover),
-                    default=[],
-                )
-                last = outcomes[-1]
-                if last.stage == "rank" and last.ok:
-                    last.status = "degraded"
-                    last.detail = "attribute grouping failed upstream"
-                    last.fallback = "cover order, unranked (singleton grouping)"
-                return ranked
-            reason = (
-                "no dependencies to rank" if not cover
-                else "no attribute grouping (nothing to rank against)"
-            )
-            outcomes.append(StageOutcome(
-                stage="rank", status="ok", detail=f"skipped: {reason}",
-            ))
-            return []
-
-        ranked = self._checkpointed("rank", store, outcomes, _rank_stage,
-                                    ladder=ladder, escalations=escalations)
-
-        return DiscoveryReport(
-            relation=relation,
-            tuple_clustering=tuples,
-            value_clustering=values,
-            attribute_grouping=grouping,
-            dependencies=dependencies,
-            cover=cover,
-            ranked=ranked,
-            outcomes=outcomes,
-        ), ladder
 
     def _mine(self, relation: Relation, budget: Budget | None, executor=None) -> list:
         """The configured miner over the full relation (budgeted).
@@ -1300,18 +1230,6 @@ class StructureDiscovery:
                 max_lhs_size=self.fd_max_lhs,
                 budget=budget, executor=executor,
             )
-        miner = self.miner
-        if miner == "auto":
-            miner = "fdep" if len(relation) <= _FDEP_TUPLE_LIMIT else "tane"
-        if miner == "fdep":
+        if resolve_miner(self.miner, len(relation)) == "fdep":
             return fdep(relation, budget=budget, executor=executor)
         return tane(relation, budget=budget, executor=executor)
-
-    def _rank_without_grouping(self, cover) -> list[RankedFD]:
-        """Rank when attribute grouping is unavailable: cover order.
-
-        A real grouping never materialized (the stage failed upstream or
-        there was nothing to group), so this *primary* path is already the
-        singleton-grouping semantics -- every dependency unqualified.
-        """
-        return _unranked_cover(cover)

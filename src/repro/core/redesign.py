@@ -19,13 +19,11 @@ from dataclasses import dataclass, field
 
 from repro.core.attribute_grouping import group_attributes
 from repro.core.decompose import decompose_by_fd
+from repro.core.discovery import resolve_miner
 from repro.core.fd_rank import fd_rank
 from repro.core.measures import rad, rtr
 from repro.fd import fdep, minimum_cover, tane
 from repro.relation import Relation
-
-#: Above this tuple count the quadratic FDEP miner is swapped for TANE.
-_FDEP_TUPLE_LIMIT = 2000
 
 
 def _cells(relation: Relation) -> int:
@@ -161,10 +159,7 @@ def vertical_redesign(
 
 def _best_dependency(remainder, psi, min_rtr, phi_v, phi_t, miner, budget=None):
     """The best-ranked qualified dependency worth decomposing by, if any."""
-    selected = miner
-    if selected == "auto":
-        selected = "fdep" if len(remainder) <= _FDEP_TUPLE_LIMIT else "tane"
-    if selected == "fdep":
+    if resolve_miner(miner, len(remainder)) == "fdep":
         fds = fdep(remainder, budget=budget)
     else:
         fds = tane(remainder, max_lhs_size=3, budget=budget)

@@ -342,13 +342,13 @@ class TestDiscoveryIntegration:
         assert "minimum cover" in rendered
 
     def test_manifest_distinguishes_fd_modes(self):
-        exact = StructureDiscovery()._manifest_params()
-        topk = StructureDiscovery(fd_mode="topk")._manifest_params()
+        exact = StructureDiscovery().manifest_params()
+        topk = StructureDiscovery(fd_mode="topk").manifest_params()
         assert exact != topk
         for key in ("fd_mode", "fd_k", "fd_alpha", "fd_max_lhs", "seed"):
             assert key in exact
-        capped = StructureDiscovery(fd_max_lhs=2)._manifest_params()
-        uncapped = StructureDiscovery(fd_max_lhs=None)._manifest_params()
+        capped = StructureDiscovery(fd_max_lhs=2).manifest_params()
+        uncapped = StructureDiscovery(fd_max_lhs=None).manifest_params()
         assert capped != uncapped
 
     def test_sampled_fallback_marks_run_degraded(self, tmp_path):
@@ -370,7 +370,7 @@ class TestDiscoveryIntegration:
         resumed = CheckpointStore(tmp_path / "ckpt", resume=True)
         resumed.open_run(
             relation,
-            StructureDiscovery(fd_mode="topk", fd_k=4)._manifest_params(),
+            StructureDiscovery(fd_mode="topk", fd_k=4).manifest_params(),
         )
         assert resumed.load_stage("mining") is None
 
