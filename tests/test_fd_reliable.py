@@ -9,9 +9,10 @@ and the ``StructureDiscovery``/CLI integration.
 
 import pytest
 
+import repro.fd.reliable as reliable
 from repro.budget import Budget
 from repro.core import StructureDiscovery
-from repro.datasets import dblp
+from repro.datasets import db2_sample, dblp
 from repro.errors import MemoryLimitExceeded, ResourceLimitExceeded
 from repro.fd import FD, ReliableFD, ReliableMiningStats
 from repro.fd.reliable import (
@@ -208,7 +209,7 @@ class TestStats:
         assert stats.nodes_visited > 0
         assert stats.candidates_scored > 0
         assert stats.partitions_computed > 0
-        assert stats.nodes_visited >= stats.candidates_scored
+        assert stats.candidates_scored <= stats.nodes_visited
         assert stats.sampled_rows is None
 
     def test_sampled_rows_recorded(self):
@@ -216,6 +217,107 @@ class TestStats:
         stats = ReliableMiningStats()
         mine_topk(relation, k=3, sample_rows=20, stats=stats)
         assert stats.sampled_rows == 20
+
+
+def _multiset(counts):
+    return tuple(sorted(int(c) for c in counts if c > 0))
+
+
+class TestScoringCost:
+    """The EMI memo and the below-threshold skip, on the DB2 sample (seed 1,
+    top-10, LHS <= 3) where many nodes share class-size multisets and all
+    ten top scores tie."""
+
+    @staticmethod
+    def _mine(monkeypatch, bypass=False):
+        """Mine with every EMI computation recorded as its two multisets;
+        ``bypass`` disables the memo and the skip."""
+        calls = []
+
+        def counting(a_counts, b_counts, logfact=None):
+            calls.append((_multiset(a_counts), _multiset(b_counts)))
+            return expected_mutual_information(a_counts, b_counts, logfact)
+
+        monkeypatch.setattr(
+            reliable, "expected_mutual_information", counting)
+        if bypass:
+            score = reliable._Scorer.score
+            monkeypatch.setattr(
+                reliable._Scorer, "_remember_emi", lambda *args: None)
+            monkeypatch.setattr(
+                reliable._Scorer, "score",
+                lambda self, inv, counts, y, floor=None:
+                    score(self, inv, counts, y))
+        stats = ReliableMiningStats()
+        result = mine_topk(db2_sample(seed=1).relation, k=10,
+                           max_lhs_size=3, stats=stats)
+        monkeypatch.undo()
+        return result, stats, calls
+
+    def test_emi_computed_once_per_multiset_pair(self, monkeypatch):
+        result, stats, calls = self._mine(monkeypatch)
+        baseline, _, every_node = self._mine(monkeypatch, bypass=True)
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= len(set(every_node))
+        assert 5 * len(calls) < stats.nodes_visited
+        assert result == baseline
+
+    def test_no_emi_below_the_threshold(self, monkeypatch):
+        collectors = []
+        init = reliable._Collector.__init__
+        score = reliable._Scorer.score
+        calls = []
+        below = 0
+
+        def tracking_init(self, *args):
+            init(self, *args)
+            collectors.append(self)
+
+        def checked_score(self, inv, counts, y, *args, **kwargs):
+            nonlocal below
+            threshold = collectors[-1].threshold()
+            mi, _ = self.information(inv, counts, y)
+            before = len(calls)
+            scored = score(self, inv, counts, y, *args, **kwargs)
+            if min(1.0, mi / self.h[y]) < threshold:
+                below += 1
+                assert scored is None
+                assert len(calls) == before
+            return scored
+
+        def counting(a_counts, b_counts, logfact=None):
+            calls.append(1)
+            return expected_mutual_information(a_counts, b_counts, logfact)
+
+        monkeypatch.setattr(reliable._Collector, "__init__", tracking_init)
+        monkeypatch.setattr(reliable._Scorer, "score", checked_score)
+        monkeypatch.setattr(
+            reliable, "expected_mutual_information", counting)
+        stats = ReliableMiningStats()
+        mine_topk(db2_sample(seed=1).relation, k=10, max_lhs_size=3,
+                  stats=stats)
+        assert below > 0
+        assert stats.candidates_scored == stats.nodes_visited - below
+
+    def test_emi_memo_booked_and_released(self):
+        budget = Budget(max_memory_bytes=1 << 30)
+        governor = budget.memory
+        reserve = governor.reserve
+        booked = []
+
+        def recording(n_bytes, where=""):
+            booked.append((where, n_bytes))
+            reserve(n_bytes, where=where)
+
+        governor.reserve = recording
+        start = governor.reserved
+        mine_topk(dblp(n_tuples=250, seed=7), k=5, max_lhs_size=2,
+                  budget=budget)
+        emi = [n for where, n in booked if where == "fd.reliable.emi"]
+        scorer = [n for where, n in booked if where == "fd.reliable.scorer"]
+        assert emi
+        assert governor.reserved == start
+        assert governor.peak_reserved >= sum(scorer) + sum(emi)
 
 
 class TestSampledMode:

@@ -14,7 +14,9 @@ The properties are the miner's actual correctness argument:
 * top-k selection equals the zero-pruning brute-force oracle;
 * sampled-mode scores agree with the exact ones within the reported
   confidence radius;
-* equal seeds give equal results.
+* equal seeds give equal results;
+* the exact EMI is a pure function of the two class-size multisets, bit
+  for bit, which is what lets the miner memoize it.
 """
 
 from itertools import chain, combinations
@@ -24,6 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fd.reliable import (
+    _size_runs,
+    expected_mutual_information,
     mine_topk,
     reliable_score,
     specialization_upper_bound,
@@ -51,6 +55,22 @@ def small_relation(draw, min_arity=2, max_arity=5, max_rows=16, max_card=3):
         for _ in range(n)
     ]
     return Relation(names, rows)
+
+
+@st.composite
+def class_sizes(draw, n):
+    """The class sizes of a random partition of ``n`` rows."""
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=n - 1),
+                        max_size=min(n - 1, 8))) if n > 1 else set()
+    bounds = [0, *sorted(cuts), n]
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def rearranged(draw, sizes):
+    """The same multiset, permuted and padded with empty classes."""
+    zeros = draw(st.integers(min_value=0, max_value=3))
+    return draw(st.permutations(sizes + [0] * zeros))
 
 
 def _subsets(items):
@@ -133,6 +153,26 @@ class TestSampledAgreement:
                 relation, tuple(entry.fd.lhs), next(iter(entry.fd.rhs))
             )
             assert abs(exact - entry.score) <= entry.confidence_radius + 1e-12
+
+
+class TestEMIMemoKey:
+    @given(st.data())
+    def test_emi_invariant_under_permutation_and_zero_padding(self, data):
+        a = data.draw(class_sizes(data.draw(st.integers(1, 40))))
+        b = data.draw(class_sizes(sum(a)))
+        expected = expected_mutual_information(a, b)
+        for a_form, b_form in [(data.draw(rearranged(a)), b),
+                               (a, data.draw(rearranged(b))),
+                               (data.draw(rearranged(a)),
+                                data.draw(rearranged(b)))]:
+            assert expected_mutual_information(a_form, b_form) == expected
+
+    @given(st.data())
+    def test_key_equal_exactly_for_equal_multisets(self, data):
+        a = data.draw(class_sizes(data.draw(st.integers(1, 40))))
+        b = data.draw(class_sizes(data.draw(st.integers(1, 40))))
+        assert _size_runs(data.draw(rearranged(a))) == _size_runs(a)
+        assert (_size_runs(a) == _size_runs(b)) == (sorted(a) == sorted(b))
 
 
 class TestDeterminism:
