@@ -43,8 +43,10 @@ from repro.relation import build_tuple_view
 #: size, compared by materialized-partition counts (the shared lattice-work
 #: unit both miners' ``stats`` report).  v6 runs ``fd_mining`` at a fixed
 #: n=8,000, best of 3, in both presets, and adds ``repeats`` and the
-#: ``faster_than_tane`` seconds gate.
-SCHEMA_VERSION = 6
+#: ``faster_than_tane`` seconds gate.  v7 replaces that gate with
+#: ``seconds_ratio`` (reliable seconds over TANE's) and the
+#: ``within_seconds_ratio`` gate at :data:`FD_MINING_MAX_SECONDS_RATIO`.
+SCHEMA_VERSION = 7
 
 #: Worker counts the parallel sweep compares against sequential Phase 1.
 PARALLEL_WORKERS = (1, 2, 4)
@@ -67,6 +69,10 @@ K = 5
 #: preset's 1,000 rows fixed costs decide the race between the miners.
 FD_MINING_N_TUPLES = 8000
 FD_MINING_REPEATS = 3
+
+#: The reliable top-10 miner may take at most this share of TANE's seconds
+#: on the ``fd_mining`` workload.
+FD_MINING_MAX_SECONDS_RATIO = 0.5
 
 
 def best_of(repeats, fn):
@@ -291,8 +297,9 @@ def run_fd_mining(relation, repeats, k=10, max_lhs_size=3):
     partition per ``stats`` increment -- so the comparison is of search
     strategy, not of implementation constants.  The branch-and-bound miner
     must do *strictly less* lattice work than level-wise TANE at the same
-    LHS cap, and take fewer seconds; that is its reason to exist, and the
-    gates in ``main`` hold it to both on every run.
+    LHS cap, and take at most :data:`FD_MINING_MAX_SECONDS_RATIO` of TANE's
+    seconds; that is its reason to exist, and the gates in ``main`` hold it
+    to both on every run.
     """
     from repro.fd import mine_topk, tane
     from repro.fd.reliable import ReliableMiningStats
@@ -334,13 +341,16 @@ def run_fd_mining(relation, repeats, k=10, max_lhs_size=3):
     result["fewer_partitions_than_tane"] = (
         result["reliable"]["partitions_computed"] < tane_partitions
     )
-    result["faster_than_tane"] = reliable_s < tane_s
+    result["seconds_ratio"] = reliable_s / tane_s
+    result["within_seconds_ratio"] = (
+        result["seconds_ratio"] <= FD_MINING_MAX_SECONDS_RATIO
+    )
     print(
         f"  n={len(relation)}  tane {tane_partitions} partitions "
         f"({tane_s:.2f}s)  reliable top-{k} "
         f"{result['reliable']['partitions_computed']} partitions "
         f"({reliable_s:.2f}s, {result['reliable']['subtrees_pruned']} "
-        f"subtrees pruned)"
+        f"subtrees pruned)  seconds ratio {result['seconds_ratio']:.2f}"
     )
     return result
 
@@ -444,11 +454,12 @@ def main(argv=None):
             file=sys.stderr,
         )
         return 1
-    if not fd_mining["faster_than_tane"]:
+    if not fd_mining["within_seconds_ratio"]:
         print(
             f"FAIL: reliable top-k took {fd_mining['reliable']['seconds']:.2f}s"
-            f" at n={fd_mining['n_tuples']}, not less than TANE's "
-            f"{fd_mining['tane']['seconds']:.2f}s",
+            f" at n={fd_mining['n_tuples']}, {fd_mining['seconds_ratio']:.2f}"
+            f" of TANE's {fd_mining['tane']['seconds']:.2f}s (at most "
+            f"{FD_MINING_MAX_SECONDS_RATIO:.2f} allowed)",
             file=sys.stderr,
         )
         return 1

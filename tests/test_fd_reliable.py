@@ -7,6 +7,8 @@ edge cases, seeding, worker-count bit-identity, budget/governor behaviour
 and the ``StructureDiscovery``/CLI integration.
 """
 
+import random
+
 import pytest
 
 import repro.fd.reliable as reliable
@@ -176,6 +178,40 @@ class TestTopK:
         assert mine_topk(relation, k=5) == []
 
 
+class TestWideSchema:
+    """More than 62 attributes: the attribute-set keys pass bit 63."""
+
+    @staticmethod
+    def _relation(reverse=False):
+        """66 attributes by 30 rows; ``a65`` (position 65) is a function of
+        ``a03`` and ``a64``."""
+        rng = random.Random(66)
+        cards = [rng.randint(2, 6) for _ in range(65)]
+        names = [f"a{j:02d}" for j in range(66)]
+        rows = []
+        for _ in range(30):
+            codes = [rng.randrange(card) for card in cards]
+            codes.append((codes[3] + codes[64]) % 3)
+            rows.append(tuple(f"v{code}" for code in codes))
+        if reverse:
+            names = names[::-1]
+            rows = [row[::-1] for row in rows]
+        return Relation(names, rows)
+
+    def test_single_attribute_lhs_matches_brute_force(self):
+        relation = self._relation()
+        mined = mine_topk(relation, k=10, max_lhs_size=1, rhs="a65")
+        assert mined == brute_force_topk(
+            relation, 10, max_lhs_size=1, rhs="a65")
+
+    def test_reversed_columns_mine_the_same(self):
+        mined = mine_topk(self._relation(), k=10, max_lhs_size=2, rhs="a65")
+        assert mined[0].fd == FD(frozenset({"a03", "a64"}),
+                                 frozenset({"a65"}))
+        assert mined == mine_topk(self._relation(reverse=True), k=10,
+                                  max_lhs_size=2, rhs="a65")
+
+
 class TestReliableMode:
     def test_threshold_matches_exhaustive_scan(self):
         relation = fixed_relation(40)
@@ -224,9 +260,9 @@ def _multiset(counts):
 
 
 class TestScoringCost:
-    """The EMI memo and the below-threshold skip, on the DB2 sample (seed 1,
-    top-10, LHS <= 3) where many nodes share class-size multisets and all
-    ten top scores tie."""
+    """The EMI memo, the below-threshold skip and the entropy memo, on the
+    DB2 sample (seed 1, top-10, LHS <= 3) where many nodes share class-size
+    multisets and attribute sets, and all ten top scores tie."""
 
     @staticmethod
     def _mine(monkeypatch, bypass=False):
@@ -246,8 +282,8 @@ class TestScoringCost:
                 reliable._Scorer, "_remember_emi", lambda *args: None)
             monkeypatch.setattr(
                 reliable._Scorer, "score",
-                lambda self, inv, counts, y, floor=None:
-                    score(self, inv, counts, y))
+                lambda self, key, inv, counts, y, floor=None:
+                    score(self, key, inv, counts, y))
         stats = ReliableMiningStats()
         result = mine_topk(db2_sample(seed=1).relation, k=10,
                            max_lhs_size=3, stats=stats)
@@ -273,12 +309,12 @@ class TestScoringCost:
             init(self, *args)
             collectors.append(self)
 
-        def checked_score(self, inv, counts, y, *args, **kwargs):
+        def checked_score(self, key, inv, counts, y, *args, **kwargs):
             nonlocal below
             threshold = collectors[-1].threshold()
-            mi, _ = self.information(inv, counts, y)
+            mi, _ = self.information(key, inv, counts, y)
             before = len(calls)
-            scored = score(self, inv, counts, y, *args, **kwargs)
+            scored = score(self, key, inv, counts, y, *args, **kwargs)
             if min(1.0, mi / self.h[y]) < threshold:
                 below += 1
                 assert scored is None
@@ -299,6 +335,62 @@ class TestScoringCost:
         assert below > 0
         assert stats.candidates_scored == stats.nodes_visited - below
 
+    @staticmethod
+    def _mine_counted(monkeypatch, bypass=False):
+        """Mine with entropy and size-run evaluations counted, and with the
+        attribute sets ``information`` reads and the LHS sets given an EMI
+        recorded as bitmasks; ``bypass`` disables both memos."""
+        work = {"entropy": 0, "runs": 0}
+        touched, scored = set(), set()
+        entropy, runs = reliable._canonical_entropy, reliable._size_runs
+        information = reliable._Scorer.information
+        score = reliable._Scorer.score
+
+        def counting_entropy(counts):
+            work["entropy"] += 1
+            return entropy(counts)
+
+        def counting_runs(counts):
+            work["runs"] += 1
+            return runs(counts)
+
+        def recording_information(self, key, inv, counts, y):
+            touched.update((key, key | 1 << y))
+            return information(self, key, inv, counts, y)
+
+        def recording_score(self, key, *args, **kwargs):
+            result = score(self, key, *args, **kwargs)
+            if result is not None:
+                scored.add(key)
+            return result
+
+        monkeypatch.setattr(reliable, "_canonical_entropy", counting_entropy)
+        monkeypatch.setattr(reliable, "_size_runs", counting_runs)
+        monkeypatch.setattr(
+            reliable._Scorer, "information", recording_information)
+        monkeypatch.setattr(reliable._Scorer, "score", recording_score)
+        if bypass:
+            for name in ("_remember_entropy", "_remember_runs"):
+                monkeypatch.setattr(
+                    reliable._Scorer, name, lambda *args: None)
+        stats = ReliableMiningStats()
+        result = mine_topk(db2_sample(seed=1).relation, k=10,
+                           max_lhs_size=3, stats=stats)
+        monkeypatch.undo()
+        return result, stats, work, touched, scored
+
+    def test_entropy_computed_once_per_attribute_set(self, monkeypatch):
+        result, stats, work, _, scored = self._mine_counted(monkeypatch)
+        baseline, _, _, touched, _ = self._mine_counted(
+            monkeypatch, bypass=True)
+        arity = len(db2_sample(seed=1).relation.schema.names)
+        # Every singleton's entropy is taken once at set-up, as H(Y).
+        touched |= {1 << p for p in range(arity)}
+        assert work["entropy"] <= len(touched)
+        assert 3 * work["entropy"] < stats.nodes_visited
+        assert work["runs"] <= len(scored) + arity
+        assert result == baseline
+
     def test_emi_memo_booked_and_released(self):
         budget = Budget(max_memory_bytes=1 << 30)
         governor = budget.memory
@@ -314,10 +406,12 @@ class TestScoringCost:
         mine_topk(dblp(n_tuples=250, seed=7), k=5, max_lhs_size=2,
                   budget=budget)
         emi = [n for where, n in booked if where == "fd.reliable.emi"]
+        entropy = [n for where, n in booked if where == "fd.reliable.entropy"]
         scorer = [n for where, n in booked if where == "fd.reliable.scorer"]
         assert emi
+        assert entropy
         assert governor.reserved == start
-        assert governor.peak_reserved >= sum(scorer) + sum(emi)
+        assert governor.peak_reserved >= sum(scorer) + sum(emi) + sum(entropy)
 
 
 class TestSampledMode:

@@ -16,7 +16,9 @@ The properties are the miner's actual correctness argument:
   confidence radius;
 * equal seeds give equal results;
 * the exact EMI is a pure function of the two class-size multisets, bit
-  for bit, which is what lets the miner memoize it.
+  for bit, which is what lets the miner memoize it;
+* an attribute set's entropy does not depend on the fold order that
+  reached it, so the per-set entropy memo changes no bit of any result.
 """
 
 from itertools import chain, combinations
@@ -26,6 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fd.reliable import (
+    _Scorer,
+    _fold,
     _size_runs,
     expected_mutual_information,
     mine_topk,
@@ -173,6 +177,46 @@ class TestEMIMemoKey:
         b = data.draw(class_sizes(data.draw(st.integers(1, 40))))
         assert _size_runs(data.draw(rearranged(a))) == _size_runs(a)
         assert (_size_runs(a) == _size_runs(b)) == (sorted(a) == sorted(b))
+
+
+class TestSetEntropyMemo:
+    @given(small_relation())
+    def test_memoized_entropies_equal_cold_ones(self, relation):
+        arity = len(relation.schema.names)
+        warm = _Scorer(relation)
+
+        def cold(order):
+            """A fresh scorer and the set folded along ``order`` in it."""
+            scorer = _Scorer(relation)
+            return scorer, _fold(scorer, order)
+
+        for positions in _subsets(range(arity)):
+            for order in (positions, positions[::-1]):
+                key, inv, counts = _fold(warm, order)
+                scorer, (cold_key, _, cold_counts) = cold(order)
+                assert key == cold_key
+                assert (warm._entropy(key, counts)
+                        == scorer._entropy(cold_key, cold_counts))
+                for y in range(arity):
+                    scorer, folded = cold(order)
+                    assert (warm.information(key, inv, counts, y)
+                            == scorer.information(*folded, y))
+
+    @given(small_relation(min_arity=3), st.integers(min_value=1, max_value=6))
+    def test_search_unchanged_without_the_memo(self, relation, k):
+        def counters(stats):
+            return (stats.nodes_visited, stats.candidates_scored,
+                    stats.partitions_computed, stats.subtrees_pruned)
+
+        stats = ReliableMiningStats()
+        mined = mine_topk(relation, k=k, stats=stats)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_remember_entropy", "_remember_runs"):
+                patch.setattr(_Scorer, name, lambda *args: None)
+            bare_stats = ReliableMiningStats()
+            bare = mine_topk(relation, k=k, stats=bare_stats)
+        assert mined == bare
+        assert counters(stats) == counters(bare_stats)
 
 
 class TestDeterminism:
