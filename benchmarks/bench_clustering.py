@@ -3,8 +3,8 @@
 Runs the ``test_scaling_limbo.py`` sweep (three LIMBO phases over growing
 DBLP slices) under both numeric backends, two AIB microbenchmarks (the
 full merge loop over leaf summaries and the one-shot pairwise cost matrix),
-and a parallel sweep (sharded LIMBO Phase 1 by worker count, against the
-sequential tree), and writes the results as JSON -- the committed
+and the FD-mining race (TANE vs the reliable top-k miner), and writes the
+results as JSON -- the committed
 ``BENCH_clustering.json`` is the performance baseline future changes are
 judged against.
 
@@ -46,14 +46,9 @@ from repro.relation import build_tuple_view
 #: ``faster_than_tane`` seconds gate.  v7 replaces that gate with
 #: ``seconds_ratio`` (reliable seconds over TANE's) and the
 #: ``within_seconds_ratio`` gate at :data:`FD_MINING_MAX_SECONDS_RATIO`.
-SCHEMA_VERSION = 7
-
-#: Worker counts the parallel sweep compares against sequential Phase 1.
-PARALLEL_WORKERS = (1, 2, 4)
-
-#: Tuples in the parallel-sweep workload (the "512-leaf workload": a
-#: 1000-tuple DBLP slice at phi = 0).
-PARALLEL_N_TUPLES = 1000
+#: v8 drops the ``parallel_sweep`` section and its two config keys, and
+#: moves its host CPU count to ``environment.cpus``.
+SCHEMA_VERSION = 8
 
 FULL = {"sizes": (1000, 2000, 4000, 8000), "aib_leaves": 512,
         "pairwise_n": 512, "repeats": 3, "phi": 1.0}
@@ -221,75 +216,6 @@ def run_pairwise_micro(leaves, repeats):
     return results
 
 
-def run_parallel_sweep(relation, repeats, n_tuples=PARALLEL_N_TUPLES):
-    """Sharded LIMBO Phase 1 (phi = 0) by worker count vs. the sequential tree.
-
-    Two claims are measured:
-
-    * **Determinism** -- every worker count produces bit-identical Phase-1
-      summaries (weights, masses, member order) to ``workers=1``.
-    * **Speed** -- the sharded path beats the sequential DCF-tree
-      end-to-end.  At phi = 0 the win is algorithmic (linear identical-row
-      grouping instead of per-insert closest-entry scans), so it holds even
-      on a single-core host; with real cores the pool adds to it.
-    """
-    from repro.parallel import ShardedExecutor
-
-    view = build_tuple_view(relation.take(range(min(len(relation), n_tuples))))
-    mutual_information = view.mutual_information()
-
-    def fingerprints(summaries):
-        return [
-            (s.weight, tuple(sorted(s.conditional.items())), tuple(s.members))
-            for s in summaries
-        ]
-
-    def phase1(executor=None):
-        limbo = Limbo(phi=0.0, executor=executor).fit(
-            view.rows, view.priors, mutual_information=mutual_information
-        )
-        return limbo.summaries
-
-    sequential_s, summaries = best_of(repeats, phase1)
-    result = {
-        "n_tuples": view.n_tuples,
-        "phi": 0.0,
-        "host_cpus": os.cpu_count(),
-        "sequential": {"phase1_s": sequential_s, "summaries": len(summaries)},
-        "workers": {},
-    }
-    print(f"  sequential tree: {sequential_s:.3f}s ({len(summaries)} summaries)")
-    reference = None
-    workers1_s = None
-    for workers in PARALLEL_WORKERS:
-        with ShardedExecutor(workers=workers) as executor:
-            phase1(executor)  # warm the pool outside the timed region
-            elapsed, summaries = best_of(
-                repeats, lambda: phase1(executor)
-            )
-            incidents = len(executor.events)
-        prints = fingerprints(summaries)
-        if reference is None:
-            reference = prints
-            workers1_s = elapsed
-        entry = {
-            "phase1_s": elapsed,
-            "summaries": len(summaries),
-            "speedup_vs_sequential": sequential_s / elapsed,
-            "speedup_vs_workers1": workers1_s / elapsed,
-            "identical_to_workers1": prints == reference,
-            "pool_incidents": incidents,
-        }
-        result["workers"][str(workers)] = entry
-        print(
-            f"  workers={workers}: {elapsed:.3f}s"
-            f"  ({entry['speedup_vs_sequential']:.2f}x vs sequential,"
-            f" {entry['speedup_vs_workers1']:.2f}x vs workers=1)"
-            f"  parity={entry['identical_to_workers1']}"
-        )
-    return result
-
-
 def run_fd_mining(relation, repeats, k=10, max_lhs_size=3):
     """Exhaustive TANE vs the reliable top-k miner on the same relation.
 
@@ -390,9 +316,6 @@ def main(argv=None):
     print("Pairwise cost-matrix microbenchmark:")
     pairwise = run_pairwise_micro(leaves[: preset["pairwise_n"]], preset["repeats"])
 
-    print("Parallel Phase-1 sweep (phi=0.0):")
-    parallel = run_parallel_sweep(relation, preset["repeats"])
-
     print(f"FD mining: exhaustive TANE vs reliable top-k "
           f"(n={FD_MINING_N_TUPLES}):")
     fd_mining = run_fd_mining(
@@ -410,19 +333,17 @@ def main(argv=None):
             "aib_leaves": preset["aib_leaves"],
             "pairwise_n": preset["pairwise_n"],
             "repeats": preset["repeats"],
-            "parallel_workers": list(PARALLEL_WORKERS),
-            "parallel_n_tuples": PARALLEL_N_TUPLES,
             "dataset": "dblp(seed=7)",
         },
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": platform.platform(),
+            "cpus": os.cpu_count(),
         },
         "limbo_sweep": sweep,
         "aib": aib_micro,
         "pairwise": pairwise,
-        "parallel_sweep": parallel,
         "fd_mining": fd_mining,
         # High-water-mark RSS of the whole benchmark process (bytes; None
         # where the platform offers no counter) -- the baseline memory
@@ -437,13 +358,6 @@ def main(argv=None):
         return 1
     if not all(entry["assignments_identical"] for entry in sweep):
         print("FAIL: backends disagree on Phase-3 assignments", file=sys.stderr)
-        return 1
-    if not all(
-        entry["identical_to_workers1"] for entry in parallel["workers"].values()
-    ):
-        print(
-            "FAIL: worker counts disagree on Phase-1 summaries", file=sys.stderr
-        )
         return 1
     if not fd_mining["fewer_partitions_than_tane"]:
         print(
@@ -464,27 +378,6 @@ def main(argv=None):
         )
         return 1
     if args.check_speedup is not None:
-        at_four = parallel["workers"]["4"]
-        if at_four["speedup_vs_sequential"] < 2.0:
-            print(
-                f"FAIL: sharded Phase 1 at workers=4 is only "
-                f"{at_four['speedup_vs_sequential']:.2f}x the sequential tree "
-                "(need 2.00x)",
-                file=sys.stderr,
-            )
-            return 1
-        if at_four["speedup_vs_workers1"] < 0.25:
-            # Dispatch overhead on this small workload can eat the pool's
-            # win (especially on few-core CI hosts), but a collapse past
-            # 4x means something pathological -- a stuck pool, a worker
-            # respawn loop -- not overhead.
-            print(
-                f"FAIL: workers=4 collapsed to "
-                f"{at_four['speedup_vs_workers1']:.2f}x of workers=1 on a "
-                f"{os.cpu_count()}-core host",
-                file=sys.stderr,
-            )
-            return 1
         if aib_micro["speedup"] < args.check_speedup:
             print(
                 f"FAIL: dense AIB speedup {aib_micro['speedup']:.2f}x "
@@ -520,8 +413,7 @@ def main(argv=None):
             f"speedup gate passed: aib {aib_micro['speedup']:.2f}x >= "
             f"{args.check_speedup:.2f}x, sweep auto {largest['speedup_auto']:.2f}x"
             f" and dense {largest['speedup_dense']:.2f}x >= 1.0, "
-            f"pack {dense_largest['pack_s']:.3f}s <= 20% of phase 1, "
-            f"parallel phase 1 {at_four['speedup_vs_sequential']:.2f}x >= 2.00x"
+            f"pack {dense_largest['pack_s']:.3f}s <= 20% of phase 1"
         )
     return 0
 

@@ -67,7 +67,6 @@ from repro.errors import (
     StageFailure,
     SupervisorError,
 )
-from repro.parallel import ShardedExecutor
 from repro.supervisor import Supervisor, SupervisorConfig
 from repro.relation import (
     NULL,
@@ -117,7 +116,6 @@ __all__ = [
     "ResourceLimitExceeded",
     "Schema",
     "SchemaError",
-    "ShardedExecutor",
     "StageFailure",
     "StructureDiscovery",
     "Supervisor",

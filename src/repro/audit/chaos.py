@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import InputError, ReproError
-from repro.parallel import WorkerMemoryExceeded
 from repro.seeding import derive_rng
 from repro.testing.faults import FAULT_POINTS, inject
 
@@ -134,7 +133,6 @@ class Drill:
     corrupt: object = None
     checkpointed: bool = False  # give the faulted run a store + prove resume
     preseed: bool = False  # populate the store with a clean run first
-    n_tuples: int = 0  # 0 = the campaign's default workload size
     notes: str = ""
 
     def discovery_kwargs(self) -> dict:
@@ -171,32 +169,22 @@ _DRILLS = (
     _pipeline("limbo.buffer_overflow", modes=("raise",),
               discovery=(("max_leaf_entries", 4),),
               notes="space-bounded Phase 1 overflow path"),
-    # Shard dispatch only engages past the minimum-shard threshold, so the
-    # parallel drills run a wider workload than the rest of the matrix.
-    _pipeline("parallel.worker", discovery=(("workers", 2),), n_tuples=200),
-    _pipeline("parallel.worker_oom", discovery=(("workers", 2),),
-              raises=WorkerMemoryExceeded, n_tuples=200),
     _pipeline("checkpoint.save", modes=("raise", "corrupt", "once"),
               corrupt=_rot_bytes, checkpointed=True,
               notes="rotted/failed saves must never poison a resume"),
     _pipeline("checkpoint.load", modes=("raise", "corrupt", "once"),
               corrupt=_rot_bytes, checkpointed=True, preseed=True,
               notes="rotted snapshots are quarantined and recomputed"),
-    # Supervised drills pin workers=1 so the clean baseline and the
-    # supervised children run the exact same (sharded) code path.
     Drill(point="supervisor.spawn", runner="supervised",
           modes=("raise", "once"), raises=OSError,
-          discovery=(("workers", 1),),
           notes="unlimited spawn failure gives up classified; one failure "
                 "is retried to the identical report"),
     Drill(point="supervisor.heartbeat", runner="supervised",
           modes=("corrupt",), corrupt=_frozen_heartbeat,
-          discovery=(("workers", 1),),
           notes="frozen heartbeat + stalled child: reaped as a hang, "
                 "resumed bit-identically, traceback journaled"),
     Drill(point="supervisor.escalate", runner="supervised",
           modes=("corrupt",), corrupt=_observe,
-          discovery=(("workers", 1),),
           notes="kill-bomb makes mining a poison stage; escalation "
                 "decisions flow through the point"),
     Drill(point="service.accept", runner="service", modes=("once",),
@@ -314,9 +302,7 @@ class ChaosCampaign:
         self.base_dir = Path(base_dir or tempfile.mkdtemp(prefix="chaos-"))
         self.base_dir.mkdir(parents=True, exist_ok=True)
         self.seed = int(seed)
-        self.n_tuples = int(n_tuples)
         self.relation = chaos_relation(n_tuples)
-        self._relations: dict = {self.n_tuples: self.relation}
         self._baselines: dict = {}
         self._cells_run = 0
 
@@ -338,7 +324,7 @@ class ChaosCampaign:
     def artifact_digest(report) -> str:
         """The report's artifacts, minus health narration.
 
-        Recovered-but-renarrated runs (e.g. a retried worker dispatch) are
+        Recovered-but-renarrated runs (e.g. a recomputed snapshot) are
         *allowed* to differ in their health lines; the contract bites when
         the artifacts themselves diverge without a degraded flag.
         """
@@ -349,16 +335,10 @@ class ChaosCampaign:
         blob["artifacts"].pop("healthy", None)
         return json.dumps(blob, sort_keys=True)
 
-    def relation_for(self, drill):
-        size = drill.n_tuples or self.n_tuples
-        if size not in self._relations:
-            self._relations[size] = chaos_relation(size)
-        return self._relations[size]
-
     def baseline_digest(self, drill) -> str:
-        key = ("pipeline", drill.discovery, drill.n_tuples)
+        key = ("pipeline", drill.discovery)
         if key not in self._baselines:
-            report = self._discovery(drill).run(self.relation_for(drill))
+            report = self._discovery(drill).run(self.relation)
             if not report.healthy:
                 raise AssertionError(
                     f"clean baseline for {drill.point} is degraded: "
@@ -417,7 +397,7 @@ class ChaosCampaign:
     def _run_pipeline(self, drill, mode, workdir, cell):
         from repro.checkpoint import CheckpointStore
 
-        relation = self.relation_for(drill)
+        relation = self.relation
         baseline = self.baseline_digest(drill)
         use_store = drill.checkpointed or mode == "once"
         store_dir = workdir / "ckpt"

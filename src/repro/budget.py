@@ -31,19 +31,12 @@ it after the last degradation rung so a capped run always completes.
 
 Deadlines are **absolute**: the budget captures ``deadline_at = now +
 deadline`` once at construction and every check compares the clock against
-that fixed instant.  This is what makes budgets meaningful under sharded
-parallel execution (:mod:`repro.parallel`): a budget pickled into a worker
-process re-anchors the *remaining* wall-clock allowance (via ``time.time``,
-which is comparable across processes, unlike per-process monotonic epochs)
-and the *remaining* unit allowance, so no worker can restart the clock or
-the counter from zero.
-
-Work units compose shard-local-then-summed: each shard accounts for its own
-iterations and the coordinating process folds them back in with
-:meth:`Budget.charge` as shard results arrive.  The first charge that
-crosses the cap raises, so a parallel run can overshoot by at most one
-shard's units -- not by ``workers x checkpoint-cadence`` as naive
-per-process counters would allow.
+that fixed instant.  This is what keeps a budget meaningful across the
+supervisor's process boundary (:mod:`repro.supervisor`): a budget pickled
+into a supervised child re-anchors the *remaining* wall-clock allowance
+(via ``time.time``, which is comparable across processes, unlike
+per-process monotonic epochs) and the *remaining* unit allowance, so a
+restarted attempt cannot restart the clock or the counter from zero.
 
 The clock is injectable for deterministic tests: pass any zero-argument
 callable returning seconds.
@@ -383,14 +376,14 @@ class Budget:
 
     def on_checkpoint(self, listener) -> None:
         """Register ``listener(units_used, where)``, called on every
-        :meth:`checkpoint` / :meth:`charge`.
+        :meth:`checkpoint`.
 
         This is the hook the durable-checkpoint layer
         (:class:`repro.checkpoint.CheckpointStore`) uses for its intra-stage
         cadence: the budget already sits inside every expensive loop, so its
-        tick stream is exactly "the run is making progress".  Listeners run
-        in the coordinating process only -- they are process-local state and
-        are dropped when a budget is pickled into a worker.  Listeners fire
+        tick stream is exactly "the run is making progress".  Listeners are
+        process-local state and are dropped when a budget is pickled into a
+        supervised child.  Listeners fire
         *before* the limit checks, so the final tick that crosses a limit is
         still observed.
         """
@@ -426,16 +419,6 @@ class Budget:
                 where=where, elapsed=elapsed, deadline=self.deadline,
             )
 
-    def charge(self, units: int, where: str = "") -> None:
-        """Fold a shard's locally-counted units back into this budget.
-
-        Semantically identical to :meth:`checkpoint`; the separate name
-        marks the shard-local-then-summed accounting sites in
-        :mod:`repro.parallel`, where ``units`` is a whole shard's count
-        rather than one cadence step.
-        """
-        self.checkpoint(units=units, where=where)
-
     # -- derived budgets ---------------------------------------------------------
 
     def derive(self, deadline: float | None = None,
@@ -450,8 +433,7 @@ class Budget:
         uses this to mint one budget per HTTP request off its process-wide
         budget: ``request_budget = daemon_budget.derive(deadline=30.0)``.
 
-        Unit caps do not inherit -- the parent keeps counting its own units
-        via :meth:`charge` if the caller folds child work back in.
+        Unit caps do not inherit -- the parent counts only its own units.
         """
         remaining = self.remaining_seconds()
         if deadline is None:
@@ -478,9 +460,9 @@ class Budget:
 
         Monotonic epochs are per-process state; a pickled budget instead
         carries its remaining deadline plus a ``time.time`` stamp so the
-        receiving process (a :mod:`repro.parallel` worker, possibly under
-        the ``spawn`` start method) resumes with whatever allowance is
-        genuinely left -- including queue time spent in transit.
+        receiving process (a supervised child, possibly under the ``spawn``
+        start method) resumes with whatever allowance is genuinely left --
+        including time spent in transit.
         """
         return {
             "deadline": self.deadline,
@@ -496,7 +478,7 @@ class Budget:
         self.max_units = state["max_units"]
         self.max_memory_bytes = state.get("max_memory_bytes")
         # Reservations and sampled RSS are process-local observations; the
-        # receiving worker starts a fresh governor under the same cap.
+        # receiving process starts a fresh governor under the same cap.
         self.memory = (None if self.max_memory_bytes is None
                        else MemoryGovernor(self.max_memory_bytes))
         self._clock = time.monotonic
@@ -541,12 +523,6 @@ def checkpoint(budget: Budget | None, units: int = 1, where: str = "") -> None:
     """``budget.checkpoint`` that tolerates ``budget=None`` (the common case)."""
     if budget is not None:
         budget.checkpoint(units=units, where=where)
-
-
-def charge(budget: Budget | None, units: int, where: str = "") -> None:
-    """``budget.charge`` that tolerates ``budget=None`` (the common case)."""
-    if budget is not None:
-        budget.charge(units=units, where=where)
 
 
 def governor_of(budget: Budget | None) -> MemoryGovernor | None:

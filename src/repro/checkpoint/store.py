@@ -11,7 +11,7 @@ Design rules, in order of importance:
 
 1. **Never corrupt a report.**  A snapshot is reused only when its
    manifest matches this run exactly (schema version, input relation
-   fingerprint, phi/psi/miner/backend/workers parameters) and its own
+   fingerprint, phi/psi/miner/backend parameters) and its own
    checksum verifies.  Anything else -- truncated file, flipped byte,
    version bump, parameter drift -- is *quarantined* (renamed aside),
    recorded as a :class:`CheckpointEvent` for the report's health section,
@@ -106,11 +106,7 @@ def _check_name(label: str, value: str) -> str:
 
 @dataclass
 class CheckpointEvent:
-    """One recorded checkpoint incident (quarantine, mismatch, save failure).
-
-    Mirrors :class:`repro.parallel.ExecutorEvent` so the discovery health
-    section can render pool and checkpoint incidents uniformly.
-    """
+    """A recorded checkpoint incident (quarantine, mismatch, save failure)."""
 
     kind: str
     where: str

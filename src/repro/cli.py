@@ -62,6 +62,7 @@ from repro.core import (
     horizontal_partition,
     redundancy_report,
 )
+from repro.core.discovery import resolve_miner
 from repro.core.redesign import vertical_redesign
 from repro.datasets import db2_sample, dblp
 from repro.errors import (
@@ -79,29 +80,6 @@ EXIT_ERROR = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE_LIMIT = 3
 EXIT_INTERRUPT = 130
-
-
-def _workers_arg(value: str):
-    """argparse type for ``--workers``: ``auto`` or a positive integer."""
-    if value == "auto":
-        return "auto"
-    try:
-        count = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--workers must be 'auto' or a positive integer, got {value!r}"
-        )
-    if count < 1:
-        raise argparse.ArgumentTypeError("--workers must be >= 1")
-    return count
-
-
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=_workers_arg, default=None, metavar="N",
-        help="parallel worker processes ('auto' = one per core; default: "
-        "sequential execution); any N produces bit-identical output",
-    )
 
 
 def _memory_limit_arg(value: str) -> int:
@@ -250,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "artifacts) to PATH; 'repro audit PATH data.csv' re-certifies it "
         "offline",
     )
-    _add_workers_argument(discover)
     _add_fd_mode_arguments(discover)
 
     audit = commands.add_parser(
@@ -271,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rank = commands.add_parser("rank", help="rank mined dependencies")
     _add_csv_argument(rank)
-    _add_workers_argument(rank)
     rank.add_argument("--psi", type=float, default=0.5)
     rank.add_argument("--phi-v", type=float, default=0.0)
     rank.add_argument(
@@ -534,8 +510,7 @@ def _cmd_discover(args) -> int:
         phi_t=args.phi_t, phi_v=args.phi_v, psi=args.psi,
         fd_mode=args.fd_mode, fd_k=args.fd_k, fd_alpha=args.fd_alpha,
         fd_max_lhs=args.fd_max_lhs or None, seed=args.seed,
-        strict=args.strict_stages, workers=args.workers,
-        backend=args.backend, checkpoint=checkpoint,
+        strict=args.strict_stages, backend=args.backend, checkpoint=checkpoint,
         on_memory_pressure=args.on_memory_pressure,
         max_leaf_entries=args.max_leaf_entries,
         supervise=supervise, verify=args.verify,
@@ -587,50 +562,35 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    from repro.parallel import ShardedExecutor
-
     budget = _budget_of(args)
     relation = _load_relation(args, budget)
-    executor = None
-    if args.workers is not None:
-        executor = ShardedExecutor(workers=args.workers, budget=budget)
-    try:
-        if args.fd_mode != "exact":
-            mined = mine_reliable_fds(
-                relation, mode=args.fd_mode, k=args.fd_k,
-                alpha=args.fd_alpha, seed=args.seed,
-                max_lhs_size=args.fd_max_lhs or None,
-                budget=budget, executor=executor,
-            )
-            cover = [entry.fd for entry in mined]
-            print(f"{len(mined)} reliable dependencies mined "
-                  f"({args.fd_mode}); exhaustive cover skipped")
-            for entry in mined[: args.top]:
-                print(f"  {entry}")
-        else:
-            miner = args.miner
-            if miner == "auto":
-                miner = "fdep" if len(relation) <= 2000 else "tane"
-            if miner == "fdep":
-                fds = fdep(relation, budget=budget, executor=executor)
-            else:
-                fds = tane(relation, max_lhs_size=3, budget=budget,
-                           executor=executor)
-            cover = minimum_cover(fds, group_rhs=True)
-            print(f"{len(fds)} dependencies mined ({miner}); "
-                  f"cover of {len(cover)}")
-        grouping = group_attributes(
-            relation, phi_v=args.phi_v, budget=budget, executor=executor
+    if args.fd_mode != "exact":
+        mined = mine_reliable_fds(
+            relation, mode=args.fd_mode, k=args.fd_k,
+            alpha=args.fd_alpha, seed=args.seed,
+            max_lhs_size=args.fd_max_lhs or None, budget=budget,
         )
-        for entry in fd_rank(cover, grouping, psi=args.psi)[: args.top]:
-            report = redundancy_report(relation, entry.fd)
-            print(
-                f"  {entry.fd}  rank={entry.rank:.4f} "
-                f"RAD={report['rad']:.3f} RTR={report['rtr']:.3f}"
-            )
-    finally:
-        if executor is not None:
-            executor.close()
+        cover = [entry.fd for entry in mined]
+        print(f"{len(mined)} reliable dependencies mined "
+              f"({args.fd_mode}); exhaustive cover skipped")
+        for entry in mined[: args.top]:
+            print(f"  {entry}")
+    else:
+        miner = resolve_miner(args.miner, len(relation))
+        if miner == "fdep":
+            fds = fdep(relation, budget=budget)
+        else:
+            fds = tane(relation, max_lhs_size=3, budget=budget)
+        cover = minimum_cover(fds, group_rhs=True)
+        print(f"{len(fds)} dependencies mined ({miner}); "
+              f"cover of {len(cover)}")
+    grouping = group_attributes(relation, phi_v=args.phi_v, budget=budget)
+    for entry in fd_rank(cover, grouping, psi=args.psi)[: args.top]:
+        report = redundancy_report(relation, entry.fd)
+        print(
+            f"  {entry.fd}  rank={entry.rank:.4f} "
+            f"RAD={report['rad']:.3f} RTR={report['rtr']:.3f}"
+        )
     return EXIT_OK
 
 

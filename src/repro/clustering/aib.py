@@ -72,15 +72,6 @@ class AIBResult:
         return curve
 
 
-#: Minimum cluster count before the dense initial candidate build is worth
-#: fanning out to worker processes (each worker re-packs the engine, so
-#: small inputs lose to the dispatch overhead).
-_PARALLEL_MIN_OBJECTS = 128
-
-#: Target candidate pairs per parallel block of the initial build.
-_PAIRS_PER_BLOCK = 32_768
-
-
 def aib(
     dcfs: list[DCF],
     min_clusters: int = 1,
@@ -88,7 +79,6 @@ def aib(
     initial_information: float | None = None,
     budget=None,
     backend: str = "auto",
-    executor=None,
     checkpoint=None,
 ) -> AIBResult:
     """Run Agglomerative IB over ``dcfs`` down to ``min_clusters``.
@@ -116,13 +106,6 @@ def aib(
         the vectorized :mod:`repro.kernels` engine for inputs of at least
         :data:`repro.kernels.DENSE_MIN_OBJECTS` clusters and the sparse
         pure-Python oracle otherwise.
-    executor:
-        Optional :class:`repro.parallel.ShardedExecutor`.  With multiple
-        workers and a dense backend, the O(n^2) initial candidate build is
-        computed in pair-balanced row blocks by worker processes; each
-        block runs the very same :meth:`DenseMergeEngine.costs` the
-        sequential loop runs, so the merge sequence is bit-identical for
-        any worker count (including no executor at all).
     checkpoint:
         Optional :class:`repro.checkpoint.StageCheckpoint`.  The full
         merge sequence is snapshotted when the run completes, keyed by a
@@ -161,7 +144,7 @@ def aib(
 
         if dense_index is not None:
             merges = _merge_sequence_dense(
-                dcfs, min_clusters, budget, dense_index, executor
+                dcfs, min_clusters, budget, dense_index
             )
         else:
             merges = _merge_sequence_sparse(dcfs, min_clusters, budget)
@@ -226,43 +209,19 @@ def _merge_sequence_sparse(dcfs, min_clusters, budget) -> list[Merge]:
     return merges
 
 
-def _merge_sequence_dense(
-    dcfs, min_clusters, budget, index, executor=None
-) -> list[Merge]:
+def _merge_sequence_dense(dcfs, min_clusters, budget, index) -> list[Merge]:
     """The same greedy policy over the packed :class:`DenseMergeEngine`.
 
     The lazy-deletion heap is replaced by a :class:`CandidateMatrix` whose
     ``best()`` reproduces the heap's pop order exactly, including the
     ``(loss, node ids)`` tie-break; the ``delta_I`` evaluations are batched
-    per node instead of being computed pair by pair.  The initial O(n^2)
-    build optionally fans out to an executor in pair-balanced row blocks;
-    the per-merge recomputation stays in-process (each step depends on the
-    previous merge, so there is nothing independent to distribute).
+    per node instead of being computed pair by pair.
     """
     n = len(dcfs)
     engine = kernels.DenseMergeEngine(dcfs, index=index)
     candidates = kernels.CandidateMatrix(2 * n - 1)
-    if (
-        executor is not None
-        and executor.parallel
-        and n >= _PARALLEL_MIN_OBJECTS
-    ):
-        from repro.parallel import shards, tasks
-
-        blocks = shards.pair_blocks(
-            n, shards.shard_count(n * (n - 1) // 2, _PAIRS_PER_BLOCK)
-        )
-        for block in executor.map(
-            tasks.aib_pairwise_block,
-            [(list(dcfs), index, start, stop) for start, stop in blocks],
-            where="aib.pairwise",
-            budget=budget,
-        ):
-            for i, costs in block:
-                candidates.fill_row(i, costs)
-    else:
-        for i in range(n - 1):
-            candidates.fill_row(i, engine.costs(i, range(i + 1, n)))
+    for i in range(n - 1):
+        candidates.fill_row(i, engine.costs(i, range(i + 1, n)))
 
     alive = set(range(n))
     merges: list[Merge] = []

@@ -127,7 +127,7 @@ class DCF:
 
     def __getstate__(self):
         # Exclude the packed-array cache: int64/float64 copies of the mass
-        # would double every worker payload, and workers rebuild them on
+        # would double every snapshot, and a restored DCF rebuilds them on
         # first use anyway.
         return (self.weight, self.mass, self.members, self.support,
                 self._mass_log_sum, self._entropy)

@@ -60,13 +60,6 @@ class Limbo:
         to the DCF-tree scans (Phase 1), AIB (Phase 2) and the association
         loop (Phase 3).  ``auto`` lets each phase pick the vectorized
         :mod:`repro.kernels` path when its input is large enough to win.
-    executor:
-        Optional :class:`repro.parallel.ShardedExecutor`.  When given,
-        Phase 1 runs the *sharded* algorithm (per-shard summarization, then
-        a cross-shard merge) and Phase 3 associates objects in parallel
-        blocks.  The shard layout depends only on the input size and the
-        executor's ``shard_size``, never on its worker count, so any
-        ``workers=N`` produces bit-identical results to ``workers=1``.
     checkpoint:
         Optional :class:`repro.checkpoint.StageCheckpoint`.  The Phase-1
         summaries are snapshotted once :meth:`fit` completes (keyed by a
@@ -79,7 +72,7 @@ class Limbo:
     max_leaf_entries:
         Optional fixed Phase-1 leaf buffer (the paper's space-bounded
         LIMBO).  Threaded into every :class:`DCFTree` this driver builds
-        (sequential, per-shard, and the cross-shard merge tree); overflow
+        (the Phase-1 tree and every ``max_summaries`` rebuild); overflow
         escalates the merge threshold and rebuilds in place.
         ``buffer_rebuilds`` counts the escalations for the report's
         ``memory`` health entry.
@@ -87,7 +80,7 @@ class Limbo:
 
     def __init__(self, phi: float = 0.0, branching: int = 4,
                  max_summaries: int | None = None, budget=None,
-                 backend: str = "auto", executor=None, checkpoint=None,
+                 backend: str = "auto", checkpoint=None,
                  max_leaf_entries: int | None = None):
         if phi < 0.0:
             raise ValueError("phi must be non-negative")
@@ -100,7 +93,6 @@ class Limbo:
         self.max_summaries = max_summaries
         self.budget = budget
         self.backend = kernels.validate_backend(backend)
-        self.executor = executor
         self.checkpoint = checkpoint
         self.max_leaf_entries = max_leaf_entries
         self.buffer_rebuilds = 0
@@ -114,14 +106,14 @@ class Limbo:
     def __getstate__(self):
         """Pickle without the process-local runtime companions.
 
-        Budgets carry per-process clocks, executors own worker pools, and
-        checkpoint handles own the store -- none of them belong inside a
-        stage snapshot.  A restored ``Limbo`` keeps its fitted numeric
-        state and runs un-budgeted, sequential and checkpoint-less.
+        Budgets carry per-process clocks and checkpoint handles own the
+        store -- neither belongs inside a stage snapshot or the report a
+        supervised child pickles back to its parent.  A restored ``Limbo``
+        keeps its fitted numeric state and runs un-budgeted and
+        checkpoint-less.
         """
         state = dict(self.__dict__)
         state["budget"] = None
-        state["executor"] = None
         state["checkpoint"] = None
         return state
 
@@ -167,17 +159,14 @@ class Limbo:
         if summaries is None:
             governor = getattr(self.budget, "memory", None)
             floor = mutual_information / len(rows) / 64.0
-            if self.executor is not None:
-                summaries = self._fit_sharded(rows, priors, supports, floor, governor)
-            else:
-                tree = self._tree(self._threshold, floor, governor)
-                for index, (row, prior) in enumerate(zip(rows, priors)):
-                    if index % _CHECK_EVERY == 0:
-                        checkpoint(self.budget, units=_CHECK_EVERY, where="limbo.fit")
-                    support = supports[index] if supports is not None else None
-                    tree.insert(DCF.singleton(index, prior, row, support=support))
-                summaries = tree.leaves()
-                self._retire_tree(tree)
+            tree = self._tree(self._threshold, floor, governor)
+            for index, (row, prior) in enumerate(zip(rows, priors)):
+                if index % _CHECK_EVERY == 0:
+                    checkpoint(self.budget, units=_CHECK_EVERY, where="limbo.fit")
+                support = supports[index] if supports is not None else None
+                tree.insert(DCF.singleton(index, prior, row, support=support))
+            summaries = tree.leaves()
+            self._retire_tree(tree)
 
             threshold = self._threshold
             while self.max_summaries is not None and len(summaries) > self.max_summaries:
@@ -227,64 +216,6 @@ class Limbo:
             self.max_summaries, self.max_leaf_entries, len(rows),
             supports is not None, repr(mutual_information), digest.hexdigest(),
         )
-
-    def _fit_sharded(self, rows, priors, supports, floor, governor) -> list[DCF]:
-        """Sharded Phase 1: per-shard summarization + cross-shard merge.
-
-        The shard layout is :func:`repro.parallel.shards.shard_bounds` of
-        ``(len(rows), executor.shard_size)`` -- a pure function of the
-        input, so every worker count executes identical shards.  At
-        ``threshold <= 0`` (the ``phi = 0`` degenerate case) the merge step
-        groups shard leaves by their members' original rows -- keys taken
-        from the untouched input, so no accumulated float noise can split a
-        group; at positive thresholds the shard leaves are re-inserted into
-        a fresh DCF-tree with the same threshold, the same device the
-        ``max_summaries`` rebuild loop already uses.
-        """
-        from repro.parallel import shards, tasks
-
-        bounds = shards.shard_bounds(len(rows), self.executor.shard_size)
-        payloads = [
-            (
-                start,
-                rows[start:stop],
-                priors[start:stop],
-                supports[start:stop] if supports is not None else None,
-                self._threshold,
-                self.branching,
-                self.backend,
-                self.max_leaf_entries,
-                floor,
-            )
-            for start, stop in bounds
-        ]
-        shard_leaves = self.executor.map(
-            tasks.fit_shard,
-            payloads,
-            units=[stop - start for start, stop in bounds],
-            where="limbo.fit",
-            budget=self.budget,
-        )
-        if self._threshold <= 0.0:
-            summaries = merge_identical_leaves(shard_leaves, rows)
-            if (self.max_leaf_entries is None
-                    or len(summaries) <= self.max_leaf_entries):
-                return summaries
-            # The identical-row groups outgrow the buffer: bound them the
-            # same way the tree path would, by escalating from zero.
-            tree = self._tree(0.0, floor, governor)
-            for leaf in summaries:
-                tree.insert(leaf)
-            summaries = tree.leaves()
-            self._retire_tree(tree)
-            return summaries
-        tree = self._tree(self._threshold, floor, governor)
-        for leaves in shard_leaves:
-            for leaf in leaves:
-                tree.insert(leaf)
-        summaries = tree.leaves()
-        self._retire_tree(tree)
-        return summaries
 
     @property
     def summaries(self) -> list[DCF]:
@@ -350,22 +281,6 @@ class Limbo:
         if not reps:
             raise ValueError("need at least one representative")
         fault_point("limbo.assign")
-        if self.executor is not None and self.executor.parallel:
-            from repro.parallel import shards, tasks
-
-            bounds = shards.shard_bounds(len(rows), self.executor.shard_size)
-            if len(bounds) > 1:
-                blocks = self.executor.map(
-                    tasks.assign_block,
-                    [
-                        (reps, rows[start:stop], priors[start:stop], self.backend)
-                        for start, stop in bounds
-                    ],
-                    units=[(stop - start) * len(reps) for start, stop in bounds],
-                    where="limbo.assign",
-                    budget=self.budget,
-                )
-                return [index for block in blocks for index in block]
         return assign_rows(reps, rows, priors, self.backend, budget=self.budget)
 
     def cluster(self, k: int) -> list[int]:
@@ -394,10 +309,8 @@ class Limbo:
 def assign_rows(representatives, rows, priors, backend, budget=None) -> list[int]:
     """Associate each row with its closest representative (Phase 3 core).
 
-    The single implementation behind both the sequential
-    :meth:`Limbo.assign` path and the parallel ``assign_block`` task: each
-    object's assignment depends only on its own row, so block boundaries
-    cannot change any result.
+    The implementation behind :meth:`Limbo.assign`; each object's
+    assignment depends only on its own row.
     """
     reps = list(representatives)
     rows = rows if isinstance(rows, list) else list(rows)
@@ -457,58 +370,6 @@ def _assign_rows_packed(packed, rows, priors, budget) -> list[int]:
             costs = kernels.merge_cost_many(packed, mass, prior)
             assignment.append(int(costs.argmin()))
     return assignment
-
-
-def _row_signature(row) -> tuple:
-    """A hashable, bitwise-exact identity for a conditional row."""
-    return tuple(sorted(row.items()))
-
-
-def summarize_identical(start, rows, priors, supports=None) -> list[DCF]:
-    """Group objects with identical conditionals into one DCF each.
-
-    The degenerate ``phi = 0`` Phase 1 (only zero-loss merges are allowed,
-    and ``delta_I = 0`` exactly when the conditionals coincide -- Section
-    5.2 notes LIMBO then reduces to AIB over the distinct objects) in one
-    linear pass: no DCF-tree, no per-insert closest-entry scans.  Members
-    accumulate in stream order, exactly as the tree's absorb order would.
-    ``start`` offsets local indices to global ones for sharded use.
-    """
-    groups: dict = {}
-    order: list = []
-    for local, (row, prior) in enumerate(zip(rows, priors)):
-        key = _row_signature(row)
-        support = supports[local] if supports is not None else None
-        singleton = DCF.singleton(start + local, prior, row, support=support)
-        existing = groups.get(key)
-        if existing is None:
-            groups[key] = singleton
-            order.append(key)
-        else:
-            existing.absorb(singleton)
-    return [groups[key] for key in order]
-
-
-def merge_identical_leaves(shard_leaves, rows) -> list[DCF]:
-    """Cross-shard merge for the ``phi = 0`` sharded Phase 1.
-
-    Groups are keyed on the *original* row of each leaf's first member --
-    input data untouched by any accumulation, so two shards summarizing the
-    same duplicate cannot disagree on the key by float noise.  Leaves merge
-    in shard order, preserving global stream order within every group.
-    """
-    groups: dict = {}
-    order: list = []
-    for leaves in shard_leaves:
-        for leaf in leaves:
-            key = _row_signature(rows[leaf.members[0]])
-            existing = groups.get(key)
-            if existing is None:
-                groups[key] = leaf
-                order.append(key)
-            else:
-                existing.absorb(leaf)
-    return [groups[key] for key in order]
 
 
 def clustering_information(rows, priors, assignment) -> float:

@@ -84,7 +84,6 @@ def group_attributes(
     include_all_groups: bool = False,
     budget=None,
     backend: str = "auto",
-    executor=None,
     checkpoint=None,
 ) -> AttributeGroupingResult:
     """Cluster the attributes of ``A^D`` by shared duplicate values.
@@ -112,7 +111,6 @@ def group_attributes(
             phi_t=phi_t,
             budget=budget,
             backend=backend,
-            executor=executor,
             checkpoint=checkpoint,
         )
 
@@ -141,7 +139,6 @@ def group_attributes(
         labels=matrix_f.attribute_names,
         budget=budget,
         backend=backend,
-        executor=executor,
         checkpoint=checkpoint,
     )
     return AttributeGroupingResult(

@@ -30,7 +30,7 @@ was applied -- instead of losing the whole run to one bad stage.  Pass
 With ``checkpoint=`` set, every completed stage is additionally snapshotted
 to a :class:`repro.checkpoint.CheckpointStore`, so a run killed mid-pipeline
 (crash, SIGKILL, exhausted deadline) resumes from the last completed stage
--- bit-identically, for any worker count and either numeric backend.
+-- bit-identically, under either numeric backend.
 
 The degradation ladder:
 
@@ -607,25 +607,6 @@ class StructureDiscovery:
     budget:
         A default :class:`repro.budget.Budget` applied to every ``run``
         (``run``'s own ``budget`` argument overrides it).
-    workers:
-        ``None`` (default) keeps every stage on its sequential code path,
-        exactly as before the parallel layer existed.  ``"auto"`` or a
-        positive integer runs each ``run`` with a
-        :class:`repro.parallel.ShardedExecutor`: LIMBO Phase 1 shards, the
-        FD miners' fan-outs and the grouping's candidate build distribute
-        across that many worker processes.  The shard layout depends only
-        on the data, so every worker count ``>= 1`` yields a bit-identical
-        report; an extra ``"parallel"`` entry in the health section records
-        whether the pool ran cleanly or degraded to sequential execution.
-        ``None`` is not in that set: its LIMBO Phase 1 inserts objects into
-        a DCF tree one by one where ``workers >= 1`` summarizes shards
-        (grouping identical rows at ``phi = 0``), so summaries, duplicate
-        value groups, rankings and the dendrogram can differ.  At ``phi = 0`` the tree is the one in error: it can
-        split objects with identical ``p(T|v)`` rows across summaries.
-    start_method:
-        Multiprocessing start method for the pool (``"fork"`` /
-        ``"spawn"``); ``None`` resolves from the platform and the
-        ``REPRO_PARALLEL_START_METHOD`` environment variable.
     backend:
         Numeric backend for the clustering stages (``"auto"`` / ``"sparse"``
         / ``"dense"``), forwarded to LIMBO and AIB.  Both backends produce
@@ -682,8 +663,6 @@ class StructureDiscovery:
         seed: int = 0,
         strict: bool = False,
         budget: Budget | None = None,
-        workers=None,
-        start_method: str | None = None,
         backend: str = "auto",
         checkpoint=None,
         memory_limit=None,
@@ -728,8 +707,6 @@ class StructureDiscovery:
         self.seed = seed
         self.strict = strict
         self.budget = budget
-        self.workers = workers
-        self.start_method = start_method
         self.backend = backend
         self.memory_limit = memory_limit
         self.on_memory_pressure = on_memory_pressure
@@ -761,8 +738,6 @@ class StructureDiscovery:
             "fd_max_lhs": fd_max_lhs,
             "seed": seed,
             "strict": strict,
-            "workers": workers,
-            "start_method": start_method,
             "backend": backend,
             "memory_limit": self.memory_limit,
             "on_memory_pressure": on_memory_pressure,
@@ -777,21 +752,21 @@ class StructureDiscovery:
         fingerprint to content-address its model cache, so two requests
         differing in any result-affecting knob can never share a model.
 
-        It is the supervisor child's constructor spec minus ``strict`` and
-        ``start_method``, which never change a saved snapshot.  Budget and
-        deadline are deliberately absent: stage snapshots are only written
-        along a fully-healthy prefix, whose results do not depend on how
-        much budget remained.  ``backend`` is included conservatively --
-        both backends give bit-identical reports, but refusing
-        cross-backend reuse keeps that guarantee testable rather than
-        assumed.  ``workers`` is included because ``workers=None`` runs
-        another LIMBO Phase-1 algorithm than ``workers >= 1`` (see the
-        class docstring).  Memory settings change which configurations a
-        stage may have degraded under, so they are included too.
+        It is the supervisor child's constructor spec minus ``strict``,
+        which never changes a saved snapshot.  Budget and deadline are
+        deliberately absent: stage snapshots are only written along a
+        fully-healthy prefix, whose results do not depend on how much
+        budget remained.  ``backend`` is included conservatively -- both
+        backends give bit-identical reports, but refusing cross-backend
+        reuse keeps that guarantee testable rather than assumed.  Memory
+        settings change which configurations a stage may have degraded
+        under, so they are included too.
         """
         params = {key: value for key, value in self._spec.items()
-                  if key not in ("strict", "start_method")}
+                  if key != "strict"}
         params["memory_limit_bytes"] = params.pop("memory_limit")
+        # Model keys hash it and perfbench's serve digests embed those keys.
+        params["workers"] = None
         return params
 
     # -- the pipeline ------------------------------------------------------------
@@ -831,26 +806,10 @@ class StructureDiscovery:
             budget.memory = governor = MemoryGovernor(self.memory_limit)
         outcomes: list[StageOutcome] = []
         store = self.checkpoint
-        executor = None
         try:
             if store is not None:
                 store.open_run(relation, self.manifest_params())
                 store.attach(budget)
-            if self.workers is not None:
-                from repro.parallel import ShardedExecutor
-
-                executor = ShardedExecutor(
-                    workers=self.workers, start_method=self.start_method,
-                    budget=budget,
-                )
-                if (governor is not None
-                        and executor.max_worker_memory_bytes is None):
-                    # Split the cap across the pool: a worker that outgrows
-                    # its share is treated like a crashed worker (retry
-                    # once, then sticky-sequential with smaller shards).
-                    executor.max_worker_memory_bytes = max(
-                        1, governor.max_bytes // max(1, executor.workers)
-                    )
             # The knobs the memory ladder may steer mid-run.  Ungoverned
             # runs (or policy "fail" / strict mode) get no ladder and the
             # params stay exactly the configured ones; supervised
@@ -870,13 +829,10 @@ class StructureDiscovery:
                                and not self.strict):
                 ladder = _MemoryLadder(eff, governor)
             done: dict = {}
-            for row in self._stage_table(relation, budget, executor, store,
-                                         eff, done):
+            for row in self._stage_table(relation, budget, store, eff, done):
                 done[row.name] = self._checkpointed(
                     row.name, row, outcomes, store, ladder, escalations or {})
         finally:
-            if executor is not None:
-                executor.close()
             if store is not None:
                 store.detach(budget)
             if lent is not None:
@@ -891,26 +847,6 @@ class StructureDiscovery:
             ranked=done["rank"],
             outcomes=outcomes,
         )
-        if executor is not None:
-            if not executor.events:
-                outcomes.append(StageOutcome(
-                    stage="parallel", status="ok",
-                    detail="sharded execution, no pool incidents",
-                ))
-            elif all(e.kind == "retry" for e in executor.events):
-                # Every incident was a retry that went on to succeed; the
-                # run stayed parallel and the report is unaffected.
-                outcomes.append(StageOutcome(
-                    stage="parallel", status="ok",
-                    detail="recovered: "
-                           + "; ".join(e.render() for e in executor.events),
-                ))
-            else:
-                outcomes.append(StageOutcome(
-                    stage="parallel", status="degraded",
-                    detail="; ".join(e.render() for e in executor.events),
-                    fallback="sequential execution",
-                ))
         if store is not None and store.events:
             # Only incidents earn an entry: a clean checkpointed (or cleanly
             # resumed) run renders bit-identically to an uncheckpointed one.
@@ -1077,7 +1013,7 @@ class StructureDiscovery:
             store.save_stage(stage, {"result": result, "outcomes": [outcome]})
         return result
 
-    def _stage_table(self, relation, budget, executor, store, eff, done):
+    def _stage_table(self, relation, budget, store, eff, done):
         """The six rows of one run, in :data:`STAGES` order.
 
         Rows read the knobs the memory ladder steers from ``eff``, and the
@@ -1152,7 +1088,7 @@ class StructureDiscovery:
                 "tuple_clustering",
                 primary=lambda: cluster_tuples(
                     eff.relation, phi_t=eff.phi_t, budget=budget,
-                    backend=eff.backend, executor=executor,
+                    backend=eff.backend,
                     checkpoint=handle("tuple_clustering"),
                     max_leaf_entries=eff.max_leaf_entries,
                 ),
@@ -1168,7 +1104,7 @@ class StructureDiscovery:
                 primary=lambda: cluster_values(
                     eff.relation, phi_v=eff.phi_v,
                     phi_t=eff.double_clustering_phi_t, budget=budget,
-                    backend=eff.backend, executor=executor,
+                    backend=eff.backend,
                     checkpoint=handle("value_clustering"),
                     max_leaf_entries=eff.max_leaf_entries,
                 ),
@@ -1185,14 +1121,14 @@ class StructureDiscovery:
                 "attribute_grouping",
                 primary=lambda: group_attributes(
                     value_clustering=done["value_clustering"], budget=budget,
-                    backend=eff.backend, executor=executor,
+                    backend=eff.backend,
                     checkpoint=handle("attribute_grouping"),
                 ),
                 skip=skip_grouping,
             ),
             _Stage(
                 "mining",
-                primary=lambda: self._mine(eff.relation, budget, executor),
+                primary=lambda: self._mine(eff.relation, budget),
                 fallbacks=(sampled_mining,),
                 default=[],
             ),
@@ -1216,7 +1152,7 @@ class StructureDiscovery:
             ),
         )
 
-    def _mine(self, relation: Relation, budget: Budget | None, executor=None) -> list:
+    def _mine(self, relation: Relation, budget: Budget | None) -> list:
         """The configured miner over the full relation (budgeted).
 
         Reliable modes return :class:`repro.fd.ReliableFD` entries (already
@@ -1228,8 +1164,8 @@ class StructureDiscovery:
                 relation, mode=self.fd_mode, k=self.fd_k,
                 alpha=self.fd_alpha, seed=self.seed,
                 max_lhs_size=self.fd_max_lhs,
-                budget=budget, executor=executor,
+                budget=budget,
             )
         if resolve_miner(self.miner, len(relation)) == "fdep":
-            return fdep(relation, budget=budget, executor=executor)
-        return tane(relation, budget=budget, executor=executor)
+            return fdep(relation, budget=budget)
+        return tane(relation, budget=budget)

@@ -68,7 +68,6 @@ def cluster_tuples(
     value_scope: str = "global",
     budget=None,
     backend: str = "auto",
-    executor=None,
     checkpoint=None,
     max_leaf_entries: int | None = None,
 ) -> TupleClusteringResult:
@@ -90,7 +89,6 @@ def cluster_tuples(
         branching=branching,
         budget=budget,
         backend=backend,
-        executor=executor,
         checkpoint=checkpoint,
         max_leaf_entries=max_leaf_entries,
     ).fit(

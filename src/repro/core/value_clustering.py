@@ -96,7 +96,6 @@ def cluster_values(
     value_scope: str = "global",
     budget=None,
     backend: str = "auto",
-    executor=None,
     checkpoint=None,
     max_leaf_entries: int | None = None,
 ) -> ValueClusteringResult:
@@ -126,7 +125,6 @@ def cluster_values(
             branching=branching,
             budget=budget,
             backend=backend,
-            executor=executor,
             checkpoint=checkpoint,
             max_leaf_entries=max_leaf_entries,
         ).fit(
@@ -151,7 +149,6 @@ def cluster_values(
         branching=branching,
         budget=budget,
         backend=backend,
-        executor=executor,
         checkpoint=checkpoint,
         max_leaf_entries=max_leaf_entries,
     ).fit(

@@ -31,12 +31,6 @@ from repro.testing.faults import fault_point
 #: Pair-scan iterations between cooperative budget checkpoints (scalar path).
 _CHECK_EVERY = 512
 
-#: Minimum tuple count before the pair scan fans out to worker processes.
-_PARALLEL_MIN_TUPLES = 64
-
-#: Target tuple pairs per parallel block of the scan.
-_PAIRS_PER_BLOCK = 16_384
-
 #: Widest schema the bitmask pair scan handles (one ``int64`` bit per
 #: attribute, with headroom under the sign bit).
 _MAX_MASK_ATTRIBUTES = 62
@@ -82,11 +76,6 @@ def _masks_to_sets(masks, names) -> set[frozenset]:
     }
 
 
-def _agree_block(sig: np.ndarray, names, start: int, stop: int) -> set[frozenset]:
-    """Agree sets of one block of pair rows (the parallel task body)."""
-    return _masks_to_sets(_agree_masks_block(sig, start, stop), names)
-
-
 def _agree_sets_scalar(sig: np.ndarray, names, n: int, budget) -> set[frozenset]:
     """Per-pair fallback for schemas wider than ``_MAX_MASK_ATTRIBUTES``."""
     result: set[frozenset] = set()
@@ -105,7 +94,7 @@ def _agree_sets_scalar(sig: np.ndarray, names, n: int, budget) -> set[frozenset]
     return result
 
 
-def agree_sets(relation, budget=None, executor=None) -> set[frozenset]:
+def agree_sets(relation, budget=None) -> set[frozenset]:
     """All distinct agree sets of tuple pairs.
 
     Computed over per-attribute label arrays derived from the coded columns:
@@ -113,38 +102,14 @@ def agree_sets(relation, budget=None, executor=None) -> set[frozenset]:
     pass, packing the per-attribute agreements into ``int64`` bitmasks (one
     bit per attribute) and deduplicating masks before any frozensets are
     built.  Schemas wider than 62 attributes fall back to the per-pair scan.
-
-    With a multi-worker ``executor`` the quadratic scan splits into
-    pair-balanced blocks of ``i``-rows; the union of the per-block agree-set
-    collections is exactly the sequential scan's set (sets are
-    content-based, so the split cannot change the result).
     """
     names = relation.schema.names
     n = len(relation)
     sig = _signature_matrix(relation)
 
-    result: set[frozenset] = set()
     fault_point("fd.fdep.pairs")
     if len(names) > _MAX_MASK_ATTRIBUTES:
         return _agree_sets_scalar(sig, names, n, budget)
-    if executor is not None and executor.parallel and n >= _PARALLEL_MIN_TUPLES:
-        from repro.parallel import shards, tasks
-
-        blocks = shards.pair_blocks(
-            n, shards.shard_count(n * (n - 1) // 2, _PAIRS_PER_BLOCK)
-        )
-        for block_sets in executor.map(
-            tasks.agree_pairs_block,
-            [(sig, names, start, stop, n) for start, stop in blocks],
-            units=[
-                sum(n - 1 - i for i in range(start, stop))
-                for start, stop in blocks
-            ],
-            where="fdep.agree_sets",
-            budget=budget,
-        ):
-            result.update(block_sets)
-        return result
     masks: set = set()
     for i in range(n - 1):
         checkpoint(budget, units=n - 1 - i, where="fdep.agree_sets")
@@ -162,9 +127,7 @@ def _maximal_sets(sets) -> list[frozenset]:
     return maximal
 
 
-def negative_cover(
-    relation, budget=None, executor=None
-) -> dict[str, list[frozenset]]:
+def negative_cover(relation, budget=None) -> dict[str, list[frozenset]]:
     """Per-attribute maximal invalid LHSs (the witnesses).
 
     ``negative_cover(r)[A]`` lists the maximal agree sets of pairs that
@@ -172,7 +135,7 @@ def negative_cover(
     """
     names = relation.schema.names
     witnesses: dict[str, set] = {name: set() for name in names}
-    for agree in agree_sets(relation, budget=budget, executor=executor):
+    for agree in agree_sets(relation, budget=budget):
         for name in names:
             if name not in agree:
                 witnesses[name].add(agree)
@@ -220,7 +183,6 @@ def fdep(
     allow_empty_lhs: bool = False,
     max_lhs_per_attribute: int | None = None,
     budget=None,
-    executor=None,
 ) -> list[FD]:
     """Mine all minimal functional dependencies holding on the instance.
 
@@ -241,15 +203,11 @@ def fdep(
         Optional :class:`repro.budget.Budget`; the quadratic pair scan and
         the hitting-set search checkpoint against it cooperatively and
         raise :class:`repro.errors.ResourceLimitExceeded` when it runs out.
-    executor:
-        Optional :class:`repro.parallel.ShardedExecutor`; distributes the
-        tuple-pair scan (see :func:`agree_sets`).  The mined dependency set
-        is identical with or without it.
     """
     names = relation.schema.names
     if len(relation) == 0:
         return []
-    cover = negative_cover(relation, budget=budget, executor=executor)
+    cover = negative_cover(relation, budget=budget)
     result: list[FD] = []
     for name in names:
         witnesses = cover[name]

@@ -133,20 +133,6 @@ def partition_of(relation, attributes) -> Partition:
     return Partition.from_classes(classes, n)
 
 
-def _partition_of_rows(relation, attributes) -> Partition:
-    """Row-tuple oracle for :func:`partition_of` (parity tests only)."""
-    attributes = sorted(attributes) if not isinstance(attributes, str) else [attributes]
-    if not attributes:
-        classes = [list(range(len(relation)))] if len(relation) else []
-        return Partition.from_classes(classes, len(relation))
-    positions = relation.schema.positions(attributes)
-    buckets: dict = {}
-    for index, row in enumerate(relation.rows):
-        key = tuple(row[p] for p in positions)
-        buckets.setdefault(key, []).append(index)
-    return Partition.from_classes(buckets.values(), len(relation))
-
-
 def product(left: Partition, right: Partition) -> Partition:
     """The product partition ``pi_X * pi_Y = pi_{X union Y}``.
 

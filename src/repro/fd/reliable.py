@@ -25,11 +25,7 @@ admissible bound
 (mutual information is monotone under partition refinement and EMI >= 0).
 Pruning is *strict* (``ub < threshold``), so score ties at the top-k
 boundary are never discarded and the result is a pure function of the
-candidate set -- independent of traversal order, worker count, and the
-pruning schedule.  That is what makes sharded runs bit-identical: a
-worker's local k-th-best score is at most the global one (a subset's k-th
-order statistic never exceeds the superset's), hence every worker-local
-threshold is admissible too.
+candidate set -- independent of traversal order and the pruning schedule.
 
 Sampled mode scores on a seeded row sample (``repro.seeding``) and attaches
 a conservative confidence radius to every result; callers must surface the
@@ -63,14 +59,6 @@ __all__ = [
     "mine_reliable_fds",
     "mine_topk",
 ]
-
-#: Fan the per-RHS root subtrees out to workers in fixed-size chunks.  The
-#: chunk layout is a pure function of the schema (never of the worker
-#: count), so the executor's deterministic shard layout applies unchanged.
-_SUBTREE_CHUNK = 8
-
-#: Below this many chunks the pool overhead dwarfs the work; stay inline.
-_PARALLEL_MIN_CHUNKS = 2
 
 #: Compact the candidate buffer when it outgrows this multiple of k.
 _COMPACT_FACTOR = 8
@@ -158,7 +146,7 @@ def expected_mutual_information(a_counts, b_counts, logfact=None) -> float:
 
 @dataclass
 class ReliableMiningStats:
-    """Work counters for one mining run (summed across shards).
+    """Work counters for one mining run.
 
     ``candidates_scored`` counts the visited nodes that got a bias-corrected
     score (EMI from the memo or computed) and were offered to the result;
@@ -179,13 +167,6 @@ class ReliableMiningStats:
     sampled_rows: int | None = None
     pruned: list = field(default_factory=list)
 
-    def absorb(self, other: "ReliableMiningStats") -> None:
-        self.nodes_visited += other.nodes_visited
-        self.candidates_scored += other.candidates_scored
-        self.partitions_computed += other.partitions_computed
-        self.subtrees_pruned += other.subtrees_pruned
-        self.pruned.extend(other.pruned)
-
 
 def _canonical_entropy(counts: np.ndarray) -> float:
     """Natural-log entropy of a count vector, independent of label order.
@@ -194,9 +175,8 @@ def _canonical_entropy(counts: np.ndarray) -> float:
     labels; summing the very same masses in a different order can move the
     float result by an ulp.  Sorting the positive counts first makes every
     entropy a pure function of the count *multiset*, which is what lets the
-    cross-RHS partition memo, the per-set entropy memo (and sharded workers
-    with different memo-hit patterns) stay bit-identical to the sequential
-    pass.
+    cross-RHS partition memo and the per-set entropy memo stay
+    bit-identical to a memo-less pass.
     """
     positive = np.sort(counts[counts > 0])
     return entropy_of_counts(positive, base=math.e)
@@ -612,10 +592,6 @@ class _Collector:
             self._compact_at = max(64, _COMPACT_FACTOR * self.k,
                                    2 * len(self.entries))
 
-    def merge_entries(self, entries) -> None:
-        for score, fraction, support, lhs_names, rhs_name in entries:
-            self.add(score, fraction, support, tuple(lhs_names), rhs_name)
-
     def results(self) -> list[tuple[float, float, int, tuple, str]]:
         """Final selection under the deterministic total order."""
         ordered = sorted(
@@ -698,28 +674,6 @@ def _subtree_jobs(arity: int, rhs_positions) -> list[tuple[int, int, tuple]]:
     return jobs
 
 
-def run_subtree_chunk(relation, jobs, mode: str, k: int, min_score: float,
-                      max_lhs_size: int):
-    """One shard's work: run a chunk of subtrees, return plain data.
-
-    This is the body of :func:`repro.parallel.tasks.reliable_subtree` -- a
-    pure function of its payload (no budget, no shared collector), which is
-    what lets the executor re-run a shard in-process after a pool failure.
-    Returns ``(entries, counters)`` with worker-local top-k trimming only
-    (admissible: a shard's k-th best never exceeds the global one).
-    """
-    stats = ReliableMiningStats()
-    scorer = _Scorer(relation, budget=None, stats=stats)
-    collector = _Collector(mode, k, min_score)
-    _run_jobs(scorer, collector, jobs, max_lhs_size)
-    floor = collector.threshold()
-    entries = [e for e in collector.entries if e[0] >= floor]
-    counters = (stats.nodes_visited, stats.candidates_scored,
-                stats.partitions_computed, stats.subtrees_pruned,
-                list(stats.pruned))
-    return entries, counters
-
-
 def _validate(mode, k, min_score, alpha, max_lhs_size, sample_rows):
     if mode not in ("topk", "reliable"):
         raise ValueError("mode must be 'topk' or 'reliable'")
@@ -747,7 +701,6 @@ def mine_reliable_fds(
     sample_rows: int | None = None,
     seed: int = 0,
     budget=None,
-    executor=None,
     stats: ReliableMiningStats | None = None,
 ) -> list[ReliableFD]:
     """Mine the most reliable approximate FDs of ``relation``.
@@ -771,15 +724,12 @@ def mine_reliable_fds(
         degenerates to the exact computation.
     seed:
         Feeds :mod:`repro.seeding`; same seed, same sample, same report.
-    budget / executor:
+    budget:
         Cooperative :class:`repro.budget.Budget` checkpoints per scored
         node (memory-governed runs tick RSS sampling through the same
-        call); a :class:`repro.parallel.ShardedExecutor` shards root
-        subtrees in fixed chunks with bit-identical output for any worker
-        count.
+        call).
     stats:
-        Optional :class:`ReliableMiningStats` to fill in place (summed
-        across shards).
+        Optional :class:`ReliableMiningStats` to fill in place.
     """
     _validate(mode, k, min_score, alpha, max_lhs_size, sample_rows)
     if min_score is None:
@@ -821,40 +771,11 @@ def mine_reliable_fds(
         booked = (12 * len(work) * arity) + (4 * 8 * len(work))
         governor.reserve(booked, where="fd.reliable.scorer")
     try:
-        chunks = [jobs[i:i + _SUBTREE_CHUNK]
-                  for i in range(0, len(jobs), _SUBTREE_CHUNK)]
-        use_pool = (executor is not None and executor.parallel
-                    and len(chunks) >= _PARALLEL_MIN_CHUNKS)
-        if use_pool:
-            from repro.parallel import tasks
-
-            job_names = [
-                [(names[y], names[root], tuple(names[p] for p in tail))
-                 for y, root, tail in chunk]
-                for chunk in chunks
-            ]
-            payloads = [
-                (work, chunk, mode, k, min_score, max_lhs_size)
-                for chunk in job_names
-            ]
-            shard_results = executor.map(
-                tasks.reliable_subtree, payloads,
-                units=[len(work) * len(chunk) for chunk in chunks],
-                where="fd.reliable.subtree", budget=budget)
-            for entries, counters in shard_results:
-                collector.merge_entries(entries)
-                visited, scored, parts, pruned, pruned_list = counters
-                stats.nodes_visited += visited
-                stats.candidates_scored += scored
-                stats.partitions_computed += parts
-                stats.subtrees_pruned += pruned
-                stats.pruned.extend(tuple(p) for p in pruned_list)
-        else:
-            scorer = _Scorer(work, budget=budget, stats=stats)
-            try:
-                _run_jobs(scorer, collector, jobs, max_lhs_size)
-            finally:
-                scorer.release_memo()
+        scorer = _Scorer(work, budget=budget, stats=stats)
+        try:
+            _run_jobs(scorer, collector, jobs, max_lhs_size)
+        finally:
+            scorer.release_memo()
     finally:
         if governor is not None:
             governor.release(booked)

@@ -21,13 +21,6 @@ from repro.fd.partitions import Partition, partition_of, product
 from repro.testing.faults import fault_point
 
 
-#: Minimum missing next-level candidates before their partitions fan out.
-_PARALLEL_MIN_CANDIDATES = 8
-
-#: Candidates per parallel partition chunk.
-_CANDIDATE_CHUNK = 16
-
-
 def _partition_bytes(part: Partition) -> int:
     """Deterministic byte estimate of one stripped partition's footprint."""
     return 96 + 64 * len(part.classes) + 8 * sum(len(c) for c in part.classes)
@@ -38,7 +31,6 @@ def tane(
     max_lhs_size: int | None = None,
     allow_empty_lhs: bool = False,
     budget=None,
-    executor=None,
     stats: dict | None = None,
 ) -> list[FD]:
     """Mine all minimal functional dependencies ``X -> A`` of the instance.
@@ -58,12 +50,6 @@ def tane(
         Optional :class:`repro.budget.Budget`; partition construction and
         each lattice level checkpoint against it cooperatively and raise
         :class:`repro.errors.ResourceLimitExceeded` when it runs out.
-    executor:
-        Optional :class:`repro.parallel.ShardedExecutor`; each level's
-        missing candidate partitions are computed in chunks by worker
-        processes (directly from the relation -- partitions are canonical,
-        so the result equals the incremental ``product`` of the sequential
-        path).  The mined dependency set is identical with or without it.
     stats:
         Optional dict filled with work counters; ``partitions_computed``
         counts every stored lattice partition -- the unit
@@ -120,7 +106,7 @@ def tane(
         store(empty, partition_of(relation, []))
         results = _tane_levels(
             relation, level, level_number, all_attrs, partitions, cplus,
-            results, max_lhs_size, budget, executor, store, free_below,
+            results, max_lhs_size, budget, store, free_below,
         )
     finally:
         # Whatever survives (two levels at most) is dead once mining ends
@@ -146,7 +132,7 @@ def tane(
 
 
 def _tane_levels(relation, level, level_number, all_attrs, partitions, cplus,
-                 results, max_lhs_size, budget, executor, store, free_below):
+                 results, max_lhs_size, budget, store, free_below):
     """The level-wise lattice walk (the body of :func:`tane`)."""
     names = tuple(relation.schema.names)
     n = len(relation)
@@ -220,36 +206,10 @@ def _tane_levels(relation, level, level_number, all_attrs, partitions, cplus,
                     next_level.add(candidate)
                     if candidate not in partitions and candidate not in pending:
                         pending[candidate] = (x, y)
-        missing = sorted(pending, key=lambda s: tuple(sorted(s)))
-        if (
-            executor is not None
-            and executor.parallel
-            and len(missing) >= _PARALLEL_MIN_CANDIDATES
-        ):
-            from repro.parallel import tasks
-
-            chunks = [
-                missing[k : k + _CANDIDATE_CHUNK]
-                for k in range(0, len(missing), _CANDIDATE_CHUNK)
-            ]
-            computed = executor.map(
-                tasks.partition_chunk,
-                [
-                    (relation, [tuple(sorted(c)) for c in chunk])
-                    for chunk in chunks
-                ],
-                units=[n * len(chunk) for chunk in chunks],
-                where="tane.product",
-                budget=budget,
-            )
-            for chunk, chunk_partitions in zip(chunks, computed):
-                for candidate, part in zip(chunk, chunk_partitions):
-                    store(candidate, part)
-        else:
-            for candidate in missing:
-                checkpoint(budget, units=n, where="tane.product")
-                x, y = pending[candidate]
-                store(candidate, product(partitions[x], partitions[y]))
+        for candidate in sorted(pending, key=lambda s: tuple(sorted(s))):
+            checkpoint(budget, units=n, where="tane.product")
+            x, y = pending[candidate]
+            store(candidate, product(partitions[x], partitions[y]))
         # Free partitions of the previous level: with level l+1 generated,
         # validity and products only ever touch sizes l and l+1 again.
         free_below(level_number)

@@ -595,8 +595,8 @@ class DenseMergeEngine:
             self.weights[r] = dcf.weight
             self.wlogw[r] = _xlogx_scalar(dcf.weight)
             # The DCF's additively maintained fsum, not a fresh pairwise
-            # sum: workers rebuilding an engine from pickled DCFs land on
-            # the very same float the coordinator holds.
+            # sum: an engine rebuilt from pickled DCFs lands on the very
+            # same float the original holds.
             self.log_sums[r] = dcf.mass_log_sum
         _pack_seconds += time.perf_counter() - started
 

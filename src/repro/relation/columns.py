@@ -16,8 +16,8 @@ substrate the hot paths consume directly:
 First-seen code assignment is *chunk-size invariant by construction*: codes
 depend only on the order values appear in the row stream, so streaming a
 file in 1-row chunks or loading it whole yields identical dictionaries and
-columns.  The pickled form round-trips (workers receive the same store the
-coordinator built), and row tuples can always be rematerialized for
+columns.  The pickled form round-trips (a supervisor child receives the
+same store its parent built), and row tuples can always be rematerialized for
 display/join/REPL paths via :meth:`ColumnStore.row_tuples`.
 """
 

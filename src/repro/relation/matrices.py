@@ -109,8 +109,9 @@ def _catalog_from_codes(relation: Relation, value_scope: str):
 
     The coded store assigns catalog ids in the same row-major first-sight
     order the per-row :meth:`ValueCatalog.id_for` loop does, so the catalog
-    is bit-identical to the legacy tuple-path one -- only the id assignment
-    is a vectorized gather instead of ``n * m`` hash lookups.
+    is bit-identical to the per-row oracle's
+    (:func:`repro.testing.oracles.build_tuple_view_rows`) -- only the id
+    assignment is a vectorized gather instead of ``n * m`` hash lookups.
     """
     ids, keys = relation.coded.global_codes(value_scope)
     catalog = ValueCatalog(scope=value_scope)
@@ -137,30 +138,6 @@ def build_tuple_view(relation: Relation, value_scope: str = "global") -> TupleVi
     for row_ids in ids.tolist():
         sparse: dict = {}
         for value_id in row_ids:
-            sparse[value_id] = sparse.get(value_id, 0.0) + cell_mass
-        rows.append(sparse)
-    priors = [1.0 / len(rows)] * len(rows)
-    return TupleView(relation=relation, rows=rows, priors=priors, catalog=catalog)
-
-
-def _build_tuple_view_rows(relation: Relation, value_scope: str = "global") -> TupleView:
-    """Legacy tuple-path builder (per-row catalog hashing).
-
-    Kept as the parity oracle for the coded-column builder; the property
-    suite asserts both produce identical views.
-    """
-    _check_scope(value_scope)
-    if not relation.rows:
-        raise ValueError("cannot build a tuple view of an empty relation")
-    catalog = ValueCatalog(scope=value_scope)
-    names = relation.schema.names
-    arity = len(names)
-    cell_mass = 1.0 / arity
-    rows = []
-    for row in relation.rows:
-        sparse: dict = {}
-        for name, literal in zip(names, row):
-            value_id = catalog.id_for(name, literal)
             sparse[value_id] = sparse.get(value_id, 0.0) + cell_mass
         rows.append(sparse)
     priors = [1.0 / len(rows)] * len(rows)
@@ -268,66 +245,6 @@ def build_value_view(
     priors = [1.0 / len(rows)] * len(rows)
     n_columns = (
         len(set(tuple_clusters)) if tuple_clusters is not None else n_rows
-    )
-    return ValueView(
-        relation=relation,
-        rows=rows,
-        priors=priors,
-        support=support,
-        catalog=catalog,
-        n_columns=n_columns,
-        tuple_counts=tuple_counts,
-        double_clustered=tuple_clusters is not None,
-    )
-
-
-def _build_value_view_rows(
-    relation: Relation,
-    value_scope: str = "global",
-    tuple_clusters: list | None = None,
-) -> ValueView:
-    """Legacy tuple-path value-view builder (per-row catalog hashing).
-
-    Kept as the parity oracle for the coded-column builder; the property
-    suite asserts both produce identical views.
-    """
-    _check_scope(value_scope)
-    if not relation.rows:
-        raise ValueError("cannot build a value view of an empty relation")
-    if tuple_clusters is not None and len(tuple_clusters) != len(relation.rows):
-        raise ValueError("tuple_clusters must assign a cluster to every tuple")
-
-    catalog = ValueCatalog(scope=value_scope)
-    names = relation.schema.names
-    membership: list = []
-    support: list = []
-    tuple_counts: list = []
-
-    for t, row in enumerate(relation.rows):
-        column = tuple_clusters[t] if tuple_clusters is not None else t
-        seen_in_tuple: set = set()
-        for name, literal in zip(names, row):
-            value_id = catalog.id_for(name, literal)
-            if value_id == len(membership):
-                membership.append({})
-                support.append({})
-                tuple_counts.append(0)
-            attr_counts = support[value_id]
-            attr_counts[name] = attr_counts.get(name, 0) + 1
-            if value_id not in seen_in_tuple:
-                seen_in_tuple.add(value_id)
-                tuple_counts[value_id] += 1
-                cols = membership[value_id]
-                cols[column] = cols.get(column, 0) + 1
-        del seen_in_tuple
-
-    rows = []
-    for cols in membership:
-        d_v = sum(cols.values())
-        rows.append({column: count / d_v for column, count in cols.items()})
-    priors = [1.0 / len(rows)] * len(rows)
-    n_columns = (
-        len(set(tuple_clusters)) if tuple_clusters is not None else len(relation.rows)
     )
     return ValueView(
         relation=relation,

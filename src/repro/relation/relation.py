@@ -109,7 +109,7 @@ class Relation:
 
     def __getstate__(self):
         # Prefer shipping the coded form: dictionaries + int32 columns pickle
-        # far smaller than value tuples, and workers rebuild rows lazily.
+        # far smaller than value tuples, and the receiver rebuilds rows lazily.
         if self._coded is not None:
             return {"schema": self.schema, "coded": self._coded}
         return {"schema": self.schema, "rows": self._rows}

@@ -217,7 +217,7 @@ class DiscoveryApp:
         acquires the daemon lock before building the app).
     params:
         Keyword overrides for :class:`~repro.core.StructureDiscovery`
-        (``fd_k``, ``seed``, ``workers``, ...); the canonical manifest dict
+        (``fd_k``, ``seed``, ``backend``, ...); the canonical manifest dict
         derived from them is half of every model-cache key.
     cache_bytes:
         Byte budget of the resident model cache.

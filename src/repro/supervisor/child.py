@@ -106,7 +106,7 @@ def run_child(spec: dict, relation, directory, cadence: int, resume: bool,
     directory = Path(directory)
     # The supervisor reaps a hung child with SIGTERM before SIGKILL; map it
     # to KeyboardInterrupt so stages unwind through their ordinary
-    # interrupt paths (executor pools close, exit code 130 is preserved).
+    # interrupt paths (exit code 130 is preserved).
     signal.signal(signal.SIGTERM, _sigterm_to_interrupt)
     dump_handle = _arm_hang_dump(directory)  # noqa: F841 - keep fd alive
     from repro.core.discovery import StructureDiscovery

@@ -61,15 +61,6 @@ FAULT_POINTS = frozenset({
     # overflows, just before the threshold-escalating in-place rebuild;
     # value = (n_leaf_entries, escalated_threshold)
     "limbo.buffer_overflow",
-    # parallel layer: fired in the coordinating process at pool dispatch,
-    # inside the retry/degradation guard (so injected failures exercise the
-    # retry-then-fall-back-to-sequential path deterministically under any
-    # start method; use after=/limit= to fail once and then succeed)
-    "parallel.worker",
-    # fired in the coordinating process as each shard result is collected;
-    # `raises` with a WorkerMemoryExceeded simulates a worker breaching its
-    # per-worker cap (retry once, then sticky sequential + smaller shards)
-    "parallel.worker_oom",
     # durable checkpoints: fired with the raw snapshot bytes about to be
     # written (save) / just read back (load); `corrupt` simulates torn or
     # bit-rotted snapshots, `raises` simulates an unwritable/unreadable disk

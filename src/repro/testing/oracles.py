@@ -19,6 +19,11 @@ Two independence levels are provided on purpose:
   vectorized implementation itself, not just its plumbing.
 
 Both scale exponentially in arity; keep oracle relations at <= 8 attributes.
+
+The row-tuple oracles at the end (:func:`partition_of_rows`,
+:func:`build_tuple_view_rows`, :func:`build_value_view_rows`) are the
+per-row twins of the coded-column builders: they hash the row tuples
+directly, so the columnar parity suite can demand exact agreement.
 """
 
 from __future__ import annotations
@@ -26,8 +31,15 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from repro.fd.reliable import ReliableFD, reliable_score
 from repro.fd.dependency import FD
+from repro.fd.partitions import Partition
+from repro.fd.reliable import ReliableFD, reliable_score
+from repro.relation.matrices import (
+    TupleView,
+    ValueCatalog,
+    ValueView,
+    _check_scope,
+)
 
 
 def _column_classes(relation, names) -> dict:
@@ -153,3 +165,95 @@ def brute_force_topk(relation, k: int, **kwargs) -> list[ReliableFD]:
         )
         for score, lhs, rhs_name in entries
     ]
+
+
+def partition_of_rows(relation, attributes) -> Partition:
+    """Row-tuple oracle for :func:`repro.fd.partitions.partition_of`."""
+    attributes = sorted(attributes) if not isinstance(attributes, str) else [attributes]
+    if not attributes:
+        classes = [list(range(len(relation)))] if len(relation) else []
+        return Partition.from_classes(classes, len(relation))
+    positions = relation.schema.positions(attributes)
+    buckets: dict = {}
+    for index, row in enumerate(relation.rows):
+        key = tuple(row[p] for p in positions)
+        buckets.setdefault(key, []).append(index)
+    return Partition.from_classes(buckets.values(), len(relation))
+
+
+def build_tuple_view_rows(relation, value_scope: str = "global") -> TupleView:
+    """Row-tuple oracle for :func:`repro.relation.matrices.build_tuple_view`
+    (per-row catalog hashing)."""
+    _check_scope(value_scope)
+    if not relation.rows:
+        raise ValueError("cannot build a tuple view of an empty relation")
+    catalog = ValueCatalog(scope=value_scope)
+    names = relation.schema.names
+    arity = len(names)
+    cell_mass = 1.0 / arity
+    rows = []
+    for row in relation.rows:
+        sparse: dict = {}
+        for name, literal in zip(names, row):
+            value_id = catalog.id_for(name, literal)
+            sparse[value_id] = sparse.get(value_id, 0.0) + cell_mass
+        rows.append(sparse)
+    priors = [1.0 / len(rows)] * len(rows)
+    return TupleView(relation=relation, rows=rows, priors=priors, catalog=catalog)
+
+
+def build_value_view_rows(
+    relation,
+    value_scope: str = "global",
+    tuple_clusters: list | None = None,
+) -> ValueView:
+    """Row-tuple oracle for :func:`repro.relation.matrices.build_value_view`
+    (per-row catalog hashing)."""
+    _check_scope(value_scope)
+    if not relation.rows:
+        raise ValueError("cannot build a value view of an empty relation")
+    if tuple_clusters is not None and len(tuple_clusters) != len(relation.rows):
+        raise ValueError("tuple_clusters must assign a cluster to every tuple")
+
+    catalog = ValueCatalog(scope=value_scope)
+    names = relation.schema.names
+    membership: list = []
+    support: list = []
+    tuple_counts: list = []
+
+    for t, row in enumerate(relation.rows):
+        column = tuple_clusters[t] if tuple_clusters is not None else t
+        seen_in_tuple: set = set()
+        for name, literal in zip(names, row):
+            value_id = catalog.id_for(name, literal)
+            if value_id == len(membership):
+                membership.append({})
+                support.append({})
+                tuple_counts.append(0)
+            attr_counts = support[value_id]
+            attr_counts[name] = attr_counts.get(name, 0) + 1
+            if value_id not in seen_in_tuple:
+                seen_in_tuple.add(value_id)
+                tuple_counts[value_id] += 1
+                cols = membership[value_id]
+                cols[column] = cols.get(column, 0) + 1
+        del seen_in_tuple
+
+    rows = []
+    for cols in membership:
+        d_v = sum(cols.values())
+        rows.append({column: count / d_v for column, count in cols.items()})
+    priors = [1.0 / len(rows)] * len(rows)
+    n_columns = (
+        len(set(tuple_clusters)) if tuple_clusters is not None else len(relation.rows)
+    )
+    return ValueView(
+        relation=relation,
+        rows=rows,
+        priors=priors,
+        support=support,
+        catalog=catalog,
+        n_columns=n_columns,
+        tuple_counts=tuple_counts,
+        double_clustered=tuple_clusters is not None,
+    )

@@ -1,6 +1,6 @@
 """Tests for the chaos campaign (``repro.audit.chaos``).
 
-The full 47-cell matrix runs in CI via ``scripts/chaos_sweep.py``; this
+The full 43-cell matrix runs in CI via ``scripts/chaos_sweep.py``; this
 file keeps the structural guarantees under plain pytest -- the drill
 registry covers every fault point, the cell matrix is deterministic and
 seeded subsets reproducible -- and runs a small representative slice of

@@ -5,7 +5,7 @@ budget listener that SIGKILLs the process on the first ``fdep.*`` budget tick
 -- i.e. deterministically *inside* the mining stage, after the three
 clustering stages have been snapshotted.  The parent then resumes from the
 same directory and the resumed report must be byte-identical to an
-uninterrupted run, across worker counts and both numeric backends.
+uninterrupted run, under every numeric backend.
 """
 
 import multiprocessing
@@ -29,7 +29,7 @@ needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavail
 CHILD = """
 import os, signal, sys
 
-mode, ckpt_dir, workers, backend = sys.argv[1:5]
+mode, ckpt_dir, backend = sys.argv[1:4]
 
 from repro import Budget, StructureDiscovery
 from repro.checkpoint import CheckpointStore
@@ -44,46 +44,41 @@ if mode == "kill":
     budget.on_checkpoint(bomb)
 
 store = CheckpointStore(ckpt_dir, resume=(mode == "resume"))
-report = StructureDiscovery(
-    workers=int(workers), backend=backend, checkpoint=store,
-).run(relation, budget=budget)
+report = StructureDiscovery(backend=backend, checkpoint=store).run(
+    relation, budget=budget)
 print(f"STAGE_LOADS={store.stage_loads}", file=sys.stderr)
 print(f"EVENTS={len(store.events)}", file=sys.stderr)
 sys.stdout.write(report.render())
 """
 
 
-def run_child(mode, ckpt_dir, workers, backend):
+def run_child(mode, ckpt_dir, backend):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-c", CHILD, mode, str(ckpt_dir), str(workers), backend],
+        [sys.executable, "-c", CHILD, mode, str(ckpt_dir), backend],
         capture_output=True, text=True, timeout=300, env=env,
     )
 
 
 @pytest.fixture(scope="module")
 def baseline():
-    """The uninterrupted pooled report.
+    """The uninterrupted default report.
 
-    Any worker count >= 1 and either backend renders identically (the
-    sharded layout is a pure function of the data), so one baseline covers
-    the whole matrix.  ``workers=None`` would not: the executor-less code
-    path builds Phase-1 summaries through a single DCF tree rather than
-    sharded trees, which is a different (equally valid) clustering.
+    Every backend renders identically, so one baseline covers the whole
+    matrix.
     """
-    return StructureDiscovery(workers=1).run(db2_sample(seed=7).relation).render()
+    return StructureDiscovery().run(db2_sample(seed=7).relation).render()
 
 
 @needs_fork
-@pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("backend", ["sparse", "dense"])
+@pytest.mark.parametrize("backend", ["sparse", "dense", "auto"])
 def test_sigkill_mid_stage_then_resume_is_bit_identical(
-    tmp_path, baseline, workers, backend
+    tmp_path, baseline, backend
 ):
     ckpt_dir = tmp_path / "ckpt"
 
-    killed = run_child("kill", ckpt_dir, workers, backend)
+    killed = run_child("kill", ckpt_dir, backend)
     assert killed.returncode == -9, killed.stderr
     # The kill landed mid-mining: the three clustering stages had been
     # snapshotted, mining had not.
@@ -91,7 +86,7 @@ def test_sigkill_mid_stage_then_resume_is_bit_identical(
         assert (ckpt_dir / f"stage.{stage}.ckpt").exists()
     assert not (ckpt_dir / "stage.mining.ckpt").exists()
 
-    resumed = run_child("resume", ckpt_dir, workers, backend)
+    resumed = run_child("resume", ckpt_dir, backend)
     assert resumed.returncode == 0, resumed.stderr
     assert "STAGE_LOADS=3" in resumed.stderr  # the completed prefix was reused
     assert "EVENTS=0" in resumed.stderr  # no quarantines, no save failures
@@ -102,7 +97,7 @@ def test_sigkill_mid_stage_then_resume_is_bit_identical(
 def test_resume_after_corrupted_survivor_still_matches(tmp_path, baseline):
     """SIGKILL plus bit-rot on a surviving snapshot: still the right report."""
     ckpt_dir = tmp_path / "ckpt"
-    killed = run_child("kill", ckpt_dir, 2, "auto")
+    killed = run_child("kill", ckpt_dir, "auto")
     assert killed.returncode == -9, killed.stderr
 
     victim = ckpt_dir / "stage.value_clustering.ckpt"
@@ -110,7 +105,7 @@ def test_resume_after_corrupted_survivor_still_matches(tmp_path, baseline):
     data[-1] ^= 0xFF
     victim.write_bytes(bytes(data))
 
-    resumed = run_child("resume", ckpt_dir, 2, "auto")
+    resumed = run_child("resume", ckpt_dir, "auto")
     assert resumed.returncode == 0, resumed.stderr
     assert "STAGE_LOADS=1" in resumed.stderr  # prefix stops at the corruption
     # Content identical; only the health section records the quarantine.

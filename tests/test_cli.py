@@ -113,6 +113,14 @@ class TestRankMinerOptions:
         assert main(["rank", db2_csv, "--psi", "0.1", "--top", "1"]) == 0
         assert "rank=" in capsys.readouterr().out
 
+    def test_auto_miner_follows_the_discovery_rule(
+        self, db2_csv, capsys, monkeypatch
+    ):
+        # rank picks FDEP or TANE by the same tuple limit discover uses.
+        monkeypatch.setattr("repro.core.discovery._FDEP_TUPLE_LIMIT", 10)
+        assert main(["rank", db2_csv, "--miner", "auto", "--top", "1"]) == 0
+        assert "(tane)" in capsys.readouterr().out
+
 
 class TestPartitionWithoutOut:
     def test_no_files_written(self, tmp_path, capsys):

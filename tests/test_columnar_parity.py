@@ -1,13 +1,13 @@
 """Property tests: coded-column hot paths agree with the row-tuple oracles.
 
-Every vectorized consumer of the columnar representation keeps its legacy
-per-row implementation around as a correctness oracle.  Hypothesis drives
-random relations through both and demands exact agreement:
+Every vectorized consumer of the columnar representation has a per-row
+twin in :mod:`repro.testing.oracles`.  Hypothesis drives random relations
+through both and demands exact agreement:
 
 * TANE stripped partitions (:func:`repro.fd.partitions.partition_of` vs
-  ``_partition_of_rows``),
+  ``partition_of_rows``),
 * the matrix builders ``M``/``N``/``O`` (:func:`build_tuple_view` /
-  :func:`build_value_view` vs their ``_*_rows`` twins) and the DCF
+  :func:`build_value_view` vs their ``*_rows`` twins) and the DCF
   support sets derived from them,
 * FDEP agree sets (bitmask block scan vs the scalar pair loop).
 """
@@ -19,18 +19,19 @@ from hypothesis import strategies as st
 
 from repro.clustering import DCF
 from repro.fd.fdep import (
-    _agree_block,
+    _agree_masks_block,
     _agree_sets_scalar,
+    _masks_to_sets,
     _signature_matrix,
     agree_sets,
 )
-from repro.fd.partitions import _partition_of_rows, partition_of
+from repro.fd.partitions import partition_of
 from repro.relation import NULL, Relation
-from repro.relation.matrices import (
-    _build_tuple_view_rows,
-    _build_value_view_rows,
-    build_tuple_view,
-    build_value_view,
+from repro.relation.matrices import build_tuple_view, build_value_view
+from repro.testing.oracles import (
+    build_tuple_view_rows,
+    build_value_view_rows,
+    partition_of_rows,
 )
 
 _value = st.one_of(
@@ -59,7 +60,7 @@ class TestPartitionParity:
                      max_size=len(names), unique=True)
         )
         coded = partition_of(rel, subset)
-        oracle = _partition_of_rows(rel, subset)
+        oracle = partition_of_rows(rel, subset)
         assert coded.classes == oracle.classes
         assert coded.n_rows == oracle.n_rows
 
@@ -78,7 +79,7 @@ class TestMatrixParity:
     @settings(max_examples=60)
     def test_tuple_view_matches_row_oracle(self, rel, scope):
         coded = build_tuple_view(rel, value_scope=scope)
-        oracle = _build_tuple_view_rows(rel, value_scope=scope)
+        oracle = build_tuple_view_rows(rel, value_scope=scope)
         assert coded.catalog.keys == oracle.catalog.keys
         assert coded.rows == oracle.rows
         assert coded.priors == oracle.priors
@@ -87,7 +88,7 @@ class TestMatrixParity:
     @settings(max_examples=60)
     def test_value_view_matches_row_oracle(self, rel, scope):
         coded = build_value_view(rel, value_scope=scope)
-        oracle = _build_value_view_rows(rel, value_scope=scope)
+        oracle = build_value_view_rows(rel, value_scope=scope)
         assert coded.catalog.keys == oracle.catalog.keys
         assert coded.rows == oracle.rows
         assert coded.support == oracle.support
@@ -102,7 +103,7 @@ class TestMatrixParity:
                      min_size=len(rel), max_size=len(rel))
         )
         coded = build_value_view(rel, tuple_clusters=clusters)
-        oracle = _build_value_view_rows(rel, tuple_clusters=clusters)
+        oracle = build_value_view_rows(rel, tuple_clusters=clusters)
         assert coded.rows == oracle.rows
         assert coded.support == oracle.support
 
@@ -113,7 +114,7 @@ class TestMatrixParity:
         supports and ADCF ``O``-rows -- the inputs the clustering stages
         consume downstream of the builders."""
         coded = build_value_view(rel)
-        oracle = _build_value_view_rows(rel)
+        oracle = build_value_view_rows(rel)
         for v in range(coded.n_values):
             a = DCF.singleton(v, coded.priors[v], coded.rows[v],
                               support=coded.support[v])
@@ -135,7 +136,8 @@ class TestAgreeSetParity:
         n = len(rel)
         vectorized = set()
         for start in range(0, n - 1, 3):
-            vectorized |= _agree_block(sig, names, start, min(start + 3, n - 1))
+            vectorized |= _masks_to_sets(
+                _agree_masks_block(sig, start, min(start + 3, n - 1)), names)
         scalar = _agree_sets_scalar(sig, names, n, None)
         assert vectorized == scalar
 

@@ -282,86 +282,6 @@ class TestCallerBudget:
             assert budget._listeners == []
 
 
-class TestParallelStage:
-    """The pool degrades to sequential execution -- it never takes the run down."""
-
-    @pytest.fixture
-    def small_shards(self, monkeypatch):
-        """Force a multi-shard layout on the 90-tuple fixture.
-
-        The discovery driver resolves ``ShardedExecutor`` from
-        :mod:`repro.parallel` at run time, so wrapping the constructor is
-        enough to shrink the shards without touching production defaults.
-        """
-        import repro.parallel as parallel
-
-        real = parallel.ShardedExecutor
-
-        def factory(**kwargs):
-            kwargs.setdefault("shard_size", 8)
-            return real(**kwargs)
-
-        monkeypatch.setattr(parallel, "ShardedExecutor", factory)
-
-    def test_sequential_default_records_no_parallel_stage(self, relation):
-        report = StructureDiscovery().run(relation)
-        assert report.outcome("parallel") is None
-
-    def test_healthy_parallel_run_reports_ok(self, relation, small_shards):
-        report = StructureDiscovery(workers=2).run(relation)
-        assert report.healthy
-        assert [o.stage for o in report.outcomes] == list(STAGES) + ["parallel"]
-        assert report.outcome("parallel").status == "ok"
-        assert "Pipeline health: all stages ok" in report.render()
-
-    def test_worker_fault_degrades_not_dies(self, relation, small_shards):
-        with inject("parallel.worker", raises=RuntimeError("injected")) as fault:
-            report = StructureDiscovery(workers=2).run(relation)
-        # Retry-then-sticky-degradation: the dispatch and its one retry hit
-        # the fault, then everything ran sequentially.
-        assert fault.fired == 2
-        outcome = report.outcome("parallel")
-        assert outcome is not None
-        assert outcome.status == "degraded"
-        assert "dispatch-failure" in outcome.detail
-        assert outcome.fallback == "sequential execution"
-        assert not report.healthy
-        assert "Pipeline health: DEGRADED" in report.render()
-        # Every *pipeline* stage still took its primary path.
-        for stage in STAGES:
-            assert report.outcome(stage).status == "ok"
-
-    def test_single_worker_fault_recovers_without_degrading(
-        self, relation, small_shards
-    ):
-        with inject(
-            "parallel.worker", raises=RuntimeError("injected"), limit=1
-        ) as fault:
-            report = StructureDiscovery(workers=2).run(relation)
-        assert fault.fired == 1
-        outcome = report.outcome("parallel")
-        assert outcome is not None
-        assert outcome.status == "ok"
-        assert outcome.detail.startswith("recovered: ")
-        assert report.healthy
-        assert "Pipeline health: all stages ok" in report.render()
-
-    def test_degraded_run_matches_clean_run(self, relation, small_shards):
-        # Re-executed shards are pure functions of their payloads, so a
-        # run that lost its pool produces the same artifacts as one that
-        # kept it.
-        with inject("parallel.worker", raises=RuntimeError("injected")):
-            degraded = StructureDiscovery(workers=2).run(relation)
-        clean = StructureDiscovery(workers=2).run(relation)
-        assert degraded.dependencies == clean.dependencies
-        assert degraded.cover == clean.cover
-        assert [r.fd for r in degraded.ranked] == [r.fd for r in clean.ranked]
-        assert (
-            len(degraded.tuple_clustering.duplicate_groups)
-            == len(clean.tuple_clustering.duplicate_groups)
-        )
-
-
 class TestBudgetedRun:
     def test_exhausted_budget_yields_degraded_report(self, relation):
         report = StructureDiscovery().run(relation, budget=Budget(max_units=1))

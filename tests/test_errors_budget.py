@@ -7,7 +7,6 @@ import pytest
 from repro.budget import (
     Budget,
     MemoryGovernor,
-    charge,
     checkpoint,
     format_bytes,
     parse_memory_size,
@@ -141,30 +140,6 @@ class TestBudget:
         restored = pickle.loads(pickle.dumps(budget))
         restored.checkpoint(units=5, where="loop")  # must not raise
         assert restored._listeners == []
-
-
-class TestShardAccounting:
-    """Shard-local-then-summed unit accounting (:meth:`Budget.charge`)."""
-
-    def test_charge_records_the_whole_shard_then_raises(self):
-        budget = Budget(max_units=10)
-        budget.charge(units=8, where="limbo.fit")
-        with pytest.raises(ResourceLimitExceeded) as info:
-            budget.charge(units=8, where="limbo.fit")
-        # The crossing shard's units are recorded before the raise: the
-        # overshoot is visible and bounded by that one shard.
-        assert budget.units_used == 16
-        assert info.value.context["where"] == "limbo.fit"
-
-    def test_module_charge_tolerates_none(self):
-        charge(None, units=5, where="anywhere")  # must not raise
-
-    def test_charge_and_checkpoint_share_one_counter(self):
-        budget = Budget(max_units=100)
-        budget.checkpoint(units=30, where="loop")
-        budget.charge(units=20, where="shard")
-        assert budget.units_used == 50
-        assert budget.remaining_units() == 50
 
 
 class TestMemorySizes:
@@ -376,7 +351,7 @@ class TestBudgetPickle:
         budget.memory.reserve(1000, where="parent")
         restored = pickle.loads(pickle.dumps(budget))
         # The cap travels; reservations are process-local observations and
-        # the receiving worker starts clean under the same cap.
+        # the receiving process starts clean under the same cap.
         assert restored.max_memory_bytes == 4096
         assert isinstance(restored.memory, MemoryGovernor)
         assert restored.memory.max_bytes == 4096

@@ -3,7 +3,7 @@
 The statistical *correctness* claims (score range, admissibility, sampled
 confidence) live in ``test_properties_fd_reliable.py``; this file covers
 the deterministic contract -- oracle parity on fixed relations, filters,
-edge cases, seeding, worker-count bit-identity, budget/governor behaviour
+edge cases, seeding, traversal invariance, budget/governor behaviour
 and the ``StructureDiscovery``/CLI integration.
 """
 
@@ -464,21 +464,21 @@ class TestSeedingModule:
             sample_indices(10, 0, 0, "scope")
 
 
-class TestParallel:
-    def test_worker_counts_bit_identical(self):
-        from repro.parallel import ShardedExecutor
-
+class TestTraversalInvariance:
+    def test_per_rhs_mines_merge_to_the_whole_mine(self):
+        """The result is a pure function of the candidate set: the k best
+        of the per-consequent mines equal the whole mine, although each
+        per-consequent search prunes against its own, lower threshold."""
         relation = dblp(n_tuples=250, seed=7)
         baseline = mine_topk(relation, k=8, max_lhs_size=2)
-        for workers in (1, 2, 4):
-            executor = ShardedExecutor(workers=workers)
-            try:
-                result = mine_topk(
-                    relation, k=8, max_lhs_size=2, executor=executor
-                )
-            finally:
-                executor.close()
-            assert result == baseline
+        merged = [
+            entry
+            for rhs in relation.schema.names
+            for entry in mine_topk(relation, k=8, max_lhs_size=2, rhs=rhs)
+        ]
+        merged.sort(key=lambda e: (-e.score, tuple(sorted(e.fd.lhs)),
+                                   next(iter(e.fd.rhs))))
+        assert merged[:8] == baseline
 
 
 class TestBudget:

@@ -1,8 +1,8 @@
 """Memory governance, proven by deterministic fault injection.
 
 The host's real memory never decides these tests: forged RSS values flow
-through the ``memory.sample`` fault point, worker breaches through
-``parallel.worker_oom``, and the space-bound/eager-free invariants are
+through the ``memory.sample`` fault point, and the space-bound/eager-free
+invariants are
 observed through ``limbo.buffer_overflow`` and ``fd.tane.level`` probes.
 """
 
@@ -16,7 +16,6 @@ from repro import Budget, Relation, StructureDiscovery
 from repro.core.tuple_clustering import cluster_tuples
 from repro.errors import MemoryLimitExceeded, StageFailure
 from repro.fd import tane
-from repro.parallel import MIN_SHARD_SIZE, ShardedExecutor, WorkerMemoryExceeded
 from repro.testing import inject
 
 #: A cap real test-process RSS can never reach, and a forged sample above it.
@@ -36,13 +35,6 @@ def governed_budget(cap=BIG_CAP):
     budget = Budget(max_memory_bytes=cap)
     budget.memory.sample_every = 1
     return budget
-
-
-# -- module-level task functions (picklable under fork and spawn) -------------------
-
-
-def double(payload):
-    return payload * 2
 
 
 # -- the degradation ladder ---------------------------------------------------------
@@ -155,50 +147,6 @@ class TestSpaceBoundedLimbo:
         assert "leaf-buffer rebuild" in memory.detail
 
 
-# -- per-worker caps in the sharded executor ----------------------------------------
-
-
-class TestWorkerMemoryCaps:
-    def test_injected_worker_oom_retries_then_degrades(self):
-        payloads = list(range(40))
-        with ShardedExecutor(workers=2, shard_size=64) as executor:
-            oom = WorkerMemoryExceeded("forged breach",
-                                       where="parallel.worker_oom")
-            with inject("parallel.worker_oom", raises=oom) as fault:
-                results = executor.map(double, payloads)
-            assert fault.fired == 2  # once for the retry, once to degrade
-            assert results == [p * 2 for p in payloads]
-            kinds = [event.kind for event in executor.events]
-            assert "retry" in kinds
-            assert "worker-oom" in kinds
-            assert "shard-shrink" in kinds
-            assert executor.shard_size == 32
-            assert not executor.parallel  # degradation is sticky
-
-    def test_shard_size_never_shrinks_below_floor(self):
-        with ShardedExecutor(workers=2, shard_size=MIN_SHARD_SIZE) as executor:
-            oom = WorkerMemoryExceeded("forged", where="parallel.worker_oom")
-            with inject("parallel.worker_oom", raises=oom):
-                results = executor.map(double, [1, 2, 3])
-            assert results == [2, 4, 6]
-            assert executor.shard_size == MIN_SHARD_SIZE
-            assert not any(e.kind == "shard-shrink" for e in executor.events)
-
-    def test_real_per_worker_cap_breach_degrades_not_dies(self):
-        # A one-byte cap: every worker is genuinely over it, so the real
-        # worker-side check fires (no injection involved).
-        with ShardedExecutor(workers=2, max_worker_memory_bytes=1,
-                             shard_size=4) as executor:
-            results = executor.map(double, [1, 2, 3])
-            assert results == [2, 4, 6]
-            assert any(e.kind == "worker-oom" for e in executor.events)
-            assert not executor.parallel
-
-    def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            ShardedExecutor(workers=2, max_worker_memory_bytes=0)
-
-
 # -- TANE's two-level partition bound -----------------------------------------------
 
 
@@ -282,26 +230,23 @@ class TestSpaceBoundedDeterminism:
 
     A tiny fixed leaf buffer forces escalating rebuilds on essentially
     every input, and the result must still be a valid partition of all
-    rows, bit-identical across worker counts and numeric backends.
+    rows, bit-identical across numeric backends.
     """
 
     @settings(max_examples=6, deadline=None)
     @given(small_relation())
-    def test_tiny_buffer_is_valid_and_worker_invariant(self, relation):
+    def test_tiny_buffer_is_valid_and_backend_invariant(self, relation):
         baseline = None
-        for backend in ("sparse", "dense"):
-            for workers in (1, 2, 4):
-                with ShardedExecutor(workers=workers) as executor:
-                    result = cluster_tuples(
-                        relation, phi_t=0.5, backend=backend,
-                        executor=executor, max_leaf_entries=8,
-                    )
-                assert len(result.limbo.summaries) <= 8
-                assert len(result.assignment) == len(relation)
-                n = len(result.limbo.summaries)
-                assert all(0 <= index < n for index in result.assignment)
-                key = (result.assignment, result.duplicate_groups, n)
-                if baseline is None:
-                    baseline = key
-                else:
-                    assert key == baseline, (backend, workers)
+        for backend in ("sparse", "dense", "auto"):
+            result = cluster_tuples(
+                relation, phi_t=0.5, backend=backend, max_leaf_entries=8,
+            )
+            assert len(result.limbo.summaries) <= 8
+            assert len(result.assignment) == len(relation)
+            n = len(result.limbo.summaries)
+            assert all(0 <= index < n for index in result.assignment)
+            key = (result.assignment, result.duplicate_groups, n)
+            if baseline is None:
+                baseline = key
+            else:
+                assert key == baseline, backend

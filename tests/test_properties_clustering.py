@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering import DCF, DCFTree, aib, merge, merge_all, merge_cost
+from repro.clustering import DCF, DCFTree, Limbo, aib, merge, merge_cost
 from repro.infotheory import mutual_information_rows
 
 
@@ -214,103 +214,35 @@ class TestDCFTreeProperties:
         assert summarized <= info + 1e-8
 
 
-class TestShardedLimboProperties:
-    """Sharded Phase 1 against the sequential oracle, on random inputs.
-
-    ``workers=1`` executors keep every example in-process (no pool cost
-    under hypothesis) while still exercising the exact sharded code path --
-    by the worker-invariance contract (``tests/test_parallel_determinism``),
-    whatever holds for ``workers=1`` holds bit-for-bit for any pool.
-    """
-
-    @staticmethod
-    def _sharded_limbo(rows, priors, phi, shard_size):
-        from repro.clustering import Limbo
-        from repro.parallel import ShardedExecutor
-
-        with ShardedExecutor(workers=1, shard_size=shard_size) as executor:
-            return Limbo(phi=phi, executor=executor).fit(rows, priors)
-
-    @staticmethod
-    def _information_of(summaries):
-        return mutual_information_rows(
-            [leaf.conditional for leaf in summaries],
-            [leaf.weight for leaf in summaries],
-        )
-
-    @given(object_set(max_objects=12))
-    @settings(max_examples=30, deadline=None)
-    def test_phi_zero_groups_identical_objects_exactly(self, data):
-        rows, priors = data
-
-        def signature(row):
-            return tuple(sorted(row.items()))
-
-        limbo = self._sharded_limbo(rows, priors, phi=0.0, shard_size=3)
-        leaves = limbo.summaries
-        # Exactly one leaf per distinct conditional -- unlike the
-        # sequential tree, which may split twins across leaves.
-        assert len(leaves) == len({signature(row) for row in rows})
-        for leaf in leaves:
-            assert len({signature(rows[i]) for i in leaf.members}) == 1
-        members = sorted(m for leaf in leaves for m in leaf.members)
-        assert members == list(range(len(rows)))
-        assert sum(leaf.weight for leaf in leaves) == pytest.approx(1.0)
+class TestLimboProperties:
+    """Phase 1 of the LIMBO driver on random inputs."""
 
     @given(object_set(max_objects=12))
     @settings(max_examples=30, deadline=None)
     def test_phi_zero_loses_no_information(self, data):
-        # Grouping identical conditionals is lossless, so the sharded
-        # phi=0 summaries carry all of I(V;T) -- at least as much as the
-        # sequential tree's leaves (which can only lose information).
+        # Merging identical conditionals is lossless, so the phi=0
+        # summaries carry all of I(V;T).
         rows, priors = data
-        limbo = self._sharded_limbo(rows, priors, phi=0.0, shard_size=3)
-        info = mutual_information_rows(rows, priors)
-        assert self._information_of(limbo.summaries) == pytest.approx(
-            info, abs=1e-8
+        leaves = Limbo(phi=0.0).fit(rows, priors).summaries
+        summarized = mutual_information_rows(
+            [leaf.conditional for leaf in leaves],
+            [leaf.weight for leaf in leaves],
         )
+        assert summarized == pytest.approx(
+            mutual_information_rows(rows, priors), abs=1e-8)
 
-    @given(object_set(max_objects=12),
-           st.floats(min_value=0.05, max_value=0.5))
-    @settings(max_examples=30, deadline=None)
-    def test_positive_phi_summaries_stay_valid(self, data, phi):
-        # The positive-threshold sharded path (per-shard trees + re-insert)
-        # must preserve the clustering-input invariants and never create
-        # information from nothing.
-        rows, priors = data
-        limbo = self._sharded_limbo(rows, priors, phi=phi, shard_size=3)
-        leaves = limbo.summaries
-        members = sorted(m for leaf in leaves for m in leaf.members)
-        assert members == list(range(len(rows)))
-        assert sum(leaf.weight for leaf in leaves) == pytest.approx(1.0)
-        info = mutual_information_rows(rows, priors)
-        assert self._information_of(leaves) <= info + 1e-8
-
-    @given(object_set(max_objects=12))
+    @given(object_set(max_objects=12), st.sampled_from([0.0, 0.3]))
     @settings(max_examples=25, deadline=None)
-    def test_phi_zero_groups_independent_of_shard_layout(self, data):
-        # Group membership and order are keyed on the original input rows,
-        # so the *layout* (unlike float accumulation order) cannot change
-        # which objects end up together.
+    def test_summaries_independent_of_backend(self, data, phi):
         rows, priors = data
-        small = self._sharded_limbo(rows, priors, phi=0.0, shard_size=2)
-        large = self._sharded_limbo(rows, priors, phi=0.0, shard_size=7)
-        assert [tuple(leaf.members) for leaf in small.summaries] == [
-            tuple(leaf.members) for leaf in large.summaries
+        sparse = Limbo(phi=phi, backend="sparse").fit(rows, priors)
+        dense = Limbo(phi=phi, backend="dense").fit(rows, priors)
+        assert [tuple(leaf.members) for leaf in sparse.summaries] == [
+            tuple(leaf.members) for leaf in dense.summaries
         ]
-        for a, b in zip(small.summaries, large.summaries):
-            assert a.weight == pytest.approx(b.weight)
-
-    @given(object_set(max_objects=12))
-    @settings(max_examples=25, deadline=None)
-    def test_sharded_phase3_regroups_duplicates(self, data):
-        rows, priors = data
-        limbo = self._sharded_limbo(rows, priors, phi=0.0, shard_size=3)
-        assignment = limbo.assign(limbo.summaries)
-        for i, row_i in enumerate(rows):
-            for j in range(i + 1, len(rows)):
-                if row_i == rows[j]:
-                    assert assignment[i] == assignment[j]
+        for a, b in zip(sparse.summaries, dense.summaries):
+            assert a.weight == b.weight
+            assert a.mass == b.mass
 
 
 class TestPhaseOneTwins:
@@ -318,31 +250,22 @@ class TestPhaseOneTwins:
     summary (the paper's Section 5.2: LIMBO reduces to AIB over the
     distinct objects), checked on the discovery pipeline's value view.
 
-    The sequential DCF tree (``workers=None``) breaks the property on these
-    DBLP instances -- on seed 0 the values ``26338-26354`` and ``PODS 2002``
-    occur in exactly tuples 60, 157 and 193 yet land in two summaries -- so
-    it is pinned as a strict xfail until one Phase-1 algorithm remains.
+    The DCF tree of Phase 1 breaks the property on these DBLP instances --
+    on seed 0 the values ``26338-26354`` and ``PODS 2002`` occur in exactly
+    tuples 60, 157 and 193 yet land in two summaries -- so it is pinned as
+    a strict xfail until Phase 1 groups identical rows at ``phi = 0``.
     """
 
-    @pytest.mark.parametrize("workers", [
-        1,
-        pytest.param(None, marks=pytest.mark.xfail(
-            strict=True,
-            reason="the sequential DCF tree splits identical rows at phi=0")),
-    ])
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the Phase-1 DCF tree splits identical rows at phi=0")
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_identical_rows_share_a_summary(self, seed, workers):
-        from contextlib import nullcontext
-
+    def test_identical_rows_share_a_summary(self, seed):
         from repro.core.value_clustering import cluster_values
         from repro.datasets import dblp
-        from repro.parallel import ShardedExecutor
 
         relation = dblp(200, seed=seed)
-        pool = nullcontext() if workers is None else ShardedExecutor(
-            workers=workers)
-        with pool as executor:
-            result = cluster_values(relation, phi_v=0.0, executor=executor)
+        result = cluster_values(relation, phi_v=0.0)
         summary_of = {member: index
                       for index, leaf in enumerate(result.limbo.summaries)
                       for member in leaf.members}

@@ -99,49 +99,26 @@ class TestMinerProperties:
                 assert g3_error(relation, fd) > 0.0
 
 
-@pytest.fixture(scope="module")
-def pool_executor():
-    """A real two-worker pool, shared across examples, with the dispatch
-    gates shrunk so the tiny hypothesis relations actually fan out."""
-    import importlib
-
-    from repro.parallel import ShardedExecutor
-
-    fdep_mod = importlib.import_module("repro.fd.fdep")
-    tane_mod = importlib.import_module("repro.fd.tane")
-    saved = (
-        fdep_mod._PARALLEL_MIN_TUPLES, fdep_mod._PAIRS_PER_BLOCK,
-        tane_mod._PARALLEL_MIN_CANDIDATES, tane_mod._CANDIDATE_CHUNK,
-    )
-    fdep_mod._PARALLEL_MIN_TUPLES = 2
-    fdep_mod._PAIRS_PER_BLOCK = 8
-    tane_mod._PARALLEL_MIN_CANDIDATES = 2
-    tane_mod._CANDIDATE_CHUNK = 2
-    executor = ShardedExecutor(workers=2, shard_size=4)
-    try:
-        yield executor
-    finally:
-        executor.close()
-        (
-            fdep_mod._PARALLEL_MIN_TUPLES, fdep_mod._PAIRS_PER_BLOCK,
-            tane_mod._PARALLEL_MIN_CANDIDATES, tane_mod._CANDIDATE_CHUNK,
-        ) = saved
+def _permuted(relation, order):
+    rows = list(relation.rows)
+    return Relation(list(relation.schema.names), [rows[i] for i in order])
 
 
-class TestParallelMinerProperties:
-    """Distributed mining returns the *exact* sequential dependency sets."""
+class TestMinerOrderInvariance:
+    """The mined dependency sets depend on the instance's content only, not
+    on the order the pair scan or the lattice products meet the rows."""
 
-    @given(small_relation())
+    @given(small_relation(), st.data())
     @settings(max_examples=15, deadline=None)
-    def test_parallel_fdep_exact(self, pool_executor, relation):
-        assert set(fdep(relation, executor=pool_executor)) == set(fdep(relation))
-        assert pool_executor.events == []
+    def test_fdep_invariant_under_row_order(self, relation, data):
+        order = data.draw(st.permutations(range(len(relation))))
+        assert set(fdep(_permuted(relation, order))) == set(fdep(relation))
 
-    @given(small_relation())
+    @given(small_relation(), st.data())
     @settings(max_examples=15, deadline=None)
-    def test_parallel_tane_exact(self, pool_executor, relation):
-        assert set(tane(relation, executor=pool_executor)) == set(tane(relation))
-        assert pool_executor.events == []
+    def test_tane_invariant_under_row_order(self, relation, data):
+        order = data.draw(st.permutations(range(len(relation))))
+        assert set(tane(_permuted(relation, order))) == set(tane(relation))
 
 
 class TestCoverProperties:
