@@ -257,6 +257,20 @@ def merge_cost(dcf_a: DCF, dcf_b: DCF) -> float:
     return quantize_loss(max(loss, 0.0))
 
 
+def closest(dcfs, query: DCF) -> tuple[int, float]:
+    """Index and cost of the DCF in ``dcfs`` closest to ``query``.
+
+    The scalar scan behind the DCF-tree's node descent and LIMBO's sparse
+    Phase-3 loop: minimum :func:`merge_cost`, ties to the lowest index.
+    """
+    best_index, best_cost = 0, merge_cost(dcfs[0], query)
+    for index in range(1, len(dcfs)):
+        cost = merge_cost(dcfs[index], query)
+        if cost < best_cost:
+            best_index, best_cost = index, cost
+    return best_index, best_cost
+
+
 def merge(dcf_a: DCF, dcf_b: DCF) -> DCF:
     """The DCF of the merged cluster (Equations 1-2); inputs untouched.
 

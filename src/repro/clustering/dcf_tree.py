@@ -25,8 +25,7 @@ governor triggers the same rebuild path as a count overflow.
 
 from __future__ import annotations
 
-from repro import kernels
-from repro.clustering.dcf import DCF, merge_cost
+from repro.clustering.dcf import DCF, closest, merge_cost
 from repro.errors import MemoryLimitExceeded
 from repro.testing.faults import fault_point
 
@@ -88,14 +87,10 @@ class DCFTree:
         existing leaf entry (``phi * I(V;T) / |V|``).
     branching:
         Maximum entries per node (the paper's ``B``; default 4 as in
-        Section 8).
-    backend:
-        ``"auto"`` (default), ``"sparse"`` or ``"dense"``.  The closest-
-        entry scan batches its ``delta_I`` evaluations through
-        :func:`repro.kernels.closest_entry` once a node holds at least
-        :data:`repro.kernels.DENSE_MIN_ENTRIES` entries (``auto``) or
-        always (``dense``); with the default branching factor of 4 the
-        sparse scan is cheaper and ``auto`` keeps it.
+        Section 8).  A node scan compares at most ``B`` entries, so it is
+        always the scalar :func:`repro.clustering.dcf.closest` scan; the
+        ``backend`` knob of :class:`repro.clustering.Limbo` does not
+        reach the tree.
     max_leaf_entries:
         Optional fixed leaf-entry buffer (the paper's space bound).  An
         insert that pushes the leaf-entry count past this escalates the
@@ -114,7 +109,7 @@ class DCFTree:
         :class:`repro.errors.MemoryLimitExceeded`.
     """
 
-    def __init__(self, threshold: float, branching: int = 4, backend: str = "auto",
+    def __init__(self, threshold: float, branching: int = 4,
                  max_leaf_entries: int | None = None,
                  threshold_floor: float = 0.0, governor=None):
         if threshold < 0.0:
@@ -125,7 +120,6 @@ class DCFTree:
             raise ValueError("max_leaf_entries must be positive (or None)")
         self.threshold = float(threshold)
         self.branching = int(branching)
-        self.backend = kernels.validate_backend(backend)
         self.max_leaf_entries = max_leaf_entries
         self.threshold_floor = float(threshold_floor)
         self.governor = governor
@@ -244,23 +238,11 @@ class DCFTree:
             summary.absorb(entry)
         return summary
 
-    def _closest(self, entries: list[DCF], dcf: DCF) -> tuple[int, float]:
-        if kernels.use_dense(
-            self.backend, len(entries), minimum=kernels.DENSE_MIN_ENTRIES
-        ):
-            return kernels.closest_entry(entries, dcf)
-        best_index, best_cost = 0, merge_cost(entries[0], dcf)
-        for index in range(1, len(entries)):
-            cost = merge_cost(entries[index], dcf)
-            if cost < best_cost:
-                best_index, best_cost = index, cost
-        return best_index, best_cost
-
     def _insert_into(self, node: _Node, dcf: DCF):
         """Insert recursively; returns a (left, right) pair if ``node`` split."""
         if node.is_leaf:
             if node.entries:
-                index, cost = self._closest(node.entries, dcf)
+                index, cost = closest(node.entries, dcf)
                 if cost <= self.threshold + _MERGE_EPSILON:
                     node.entries[index].absorb(dcf)
                     self.n_absorbed += 1
@@ -271,7 +253,7 @@ class DCFTree:
                 return self._split(node)
             return None
 
-        index, _ = self._closest(node.entries, dcf)
+        index, _ = closest(node.entries, dcf)
         # Absorb into the routing summary first: the child will consume dcf.
         routing_copy = dcf.copy()
         overflow = self._insert_into(node.children[index], dcf)

@@ -20,7 +20,7 @@ import hashlib
 from repro import kernels
 from repro.budget import checkpoint
 from repro.clustering.aib import AIBResult, aib
-from repro.clustering.dcf import DCF, merge, merge_cost
+from repro.clustering.dcf import DCF, closest, merge
 from repro.clustering.dcf_tree import DCFTree
 from repro.infotheory.entropy import mutual_information_rows
 from repro.testing.faults import fault_point
@@ -57,9 +57,10 @@ class Limbo:
         exhaustion.
     backend:
         ``"auto"`` (default), ``"sparse"`` or ``"dense"``; threaded through
-        to the DCF-tree scans (Phase 1), AIB (Phase 2) and the association
-        loop (Phase 3).  ``auto`` lets each phase pick the vectorized
-        :mod:`repro.kernels` path when its input is large enough to win.
+        to AIB (Phase 2) and the association loop (Phase 3).  ``auto`` lets
+        each pick the vectorized :mod:`repro.kernels` path when its input is
+        large enough to win.  Phase 1 does not read it: the DCF-tree node
+        scan compares at most ``branching`` entries and is always scalar.
     checkpoint:
         Optional :class:`repro.checkpoint.StageCheckpoint`.  The Phase-1
         summaries are snapshotted once :meth:`fit` completes (keyed by a
@@ -187,7 +188,7 @@ class Limbo:
     def _tree(self, threshold: float, floor: float, governor) -> DCFTree:
         """A Phase-1 tree carrying this driver's space-bound configuration."""
         return DCFTree(
-            threshold, branching=self.branching, backend=self.backend,
+            threshold, branching=self.branching,
             max_leaf_entries=self.max_leaf_entries, threshold_floor=floor,
             governor=governor,
         )
@@ -212,9 +213,9 @@ class Limbo:
             for support in supports:
                 digest.update(repr(list(support.items())).encode("utf-8"))
         return (
-            "limbo.fit", repr(self.phi), self.branching, self.backend,
-            self.max_summaries, self.max_leaf_entries, len(rows),
-            supports is not None, repr(mutual_information), digest.hexdigest(),
+            "limbo.fit", repr(self.phi), self.branching, self.max_summaries,
+            self.max_leaf_entries, len(rows), supports is not None,
+            repr(mutual_information), digest.hexdigest(),
         )
 
     @property
@@ -315,12 +316,14 @@ def assign_rows(representatives, rows, priors, backend, budget=None) -> list[int
     reps = list(representatives)
     rows = rows if isinstance(rows, list) else list(rows)
     priors = priors if isinstance(priors, list) else list(priors)
-    if kernels.use_dense_assign(
-        backend, len(reps), len(rows),
-        governor=getattr(budget, "memory", None),
-    ):
-        packed = kernels.DenseDCFSet.pack(reps)
-        return _assign_rows_packed(packed, rows, priors, budget)
+    if backend != "sparse":
+        columns = kernels.shared_index(reps)
+        if kernels.use_dense_assign(
+            backend, len(reps), len(rows), len(columns),
+            governor=getattr(budget, "memory", None),
+        ):
+            packed = kernels.DenseDCFSet.pack(reps, index=columns)
+            return _assign_rows_packed(packed, rows, priors, budget)
     assignment = []
     for index, (row, prior) in enumerate(zip(rows, priors)):
         if index % _CHECK_EVERY == 0:
@@ -329,13 +332,7 @@ def assign_rows(representatives, rows, priors, backend, budget=None) -> list[int
                 units=_CHECK_EVERY * len(reps),
                 where="limbo.assign",
             )
-        singleton = DCF(prior, row)
-        best_index, best_cost = 0, merge_cost(reps[0], singleton)
-        for rep_index in range(1, len(reps)):
-            cost = merge_cost(reps[rep_index], singleton)
-            if cost < best_cost:
-                best_index, best_cost = rep_index, cost
-        assignment.append(best_index)
+        assignment.append(closest(reps, DCF(prior, row))[0])
     return assignment
 
 

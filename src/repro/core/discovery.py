@@ -354,6 +354,42 @@ class _Stage:
     skip: Callable[[], tuple | None] = lambda: None
 
 
+def _fd_json(fd) -> dict:
+    """One dependency as ``{lhs, rhs}`` sorted attribute-name lists."""
+    return {"lhs": sorted(fd.lhs), "rhs": sorted(fd.rhs)}
+
+
+def _dependency_json(entry) -> dict:
+    """One mined dependency (an exact ``FD`` or a :class:`ReliableFD`), as
+    :meth:`DiscoveryReport.summary` lists it."""
+    if not isinstance(entry, ReliableFD):
+        return _fd_json(entry)
+    data = _fd_json(entry.fd)
+    data["score"] = entry.score
+    data["sampled"] = entry.sampled
+    data["confidence_radius"] = entry.confidence_radius
+    return data
+
+
+def _dependency_artifact(entry) -> dict:
+    """The auditor's form of one dependency: the summary entry plus its
+    ``kind`` and, for a reliable FD, its plug-in ``information``."""
+    data = _dependency_json(entry)
+    if isinstance(entry, ReliableFD):
+        data["kind"] = "reliable"
+        data["information"] = entry.information
+    else:
+        data["kind"] = "exact"
+    return data
+
+
+def _ranked_json(entry: RankedFD) -> dict:
+    """One FD-RANK entry; an infinite (unranked) rank becomes ``None``."""
+    data = _fd_json(entry.fd)
+    data["rank"] = None if math.isinf(entry.rank) else entry.rank
+    return data
+
+
 @dataclass
 class DiscoveryReport:
     """All artifacts of a :class:`StructureDiscovery` run."""
@@ -405,28 +441,6 @@ class DiscoveryReport:
         ordering as :meth:`render`, so two byte-identical reports summarize
         to byte-identical JSON.
         """
-        dependencies = []
-        for entry in self.dependencies[:top]:
-            if isinstance(entry, ReliableFD):
-                dependencies.append({
-                    "lhs": sorted(entry.fd.lhs),
-                    "rhs": sorted(entry.fd.rhs),
-                    "score": entry.score,
-                    "sampled": entry.sampled,
-                    "confidence_radius": entry.confidence_radius,
-                })
-            else:
-                dependencies.append({
-                    "lhs": sorted(entry.lhs),
-                    "rhs": sorted(entry.rhs),
-                })
-        ranked = []
-        for entry in self.ranked[:top]:
-            ranked.append({
-                "lhs": sorted(entry.fd.lhs),
-                "rhs": sorted(entry.fd.rhs),
-                "rank": None if math.isinf(entry.rank) else entry.rank,
-            })
         return {
             "n_tuples": len(self.relation),
             "arity": self.relation.arity,
@@ -437,8 +451,9 @@ class DiscoveryReport:
                 self.value_clustering.duplicate_groups),
             "dependencies_mined": len(self.dependencies),
             "cover_size": len(self.cover),
-            "dependencies": dependencies,
-            "ranked": ranked,
+            "dependencies": [_dependency_json(entry)
+                             for entry in self.dependencies[:top]],
+            "ranked": [_ranked_json(entry) for entry in self.ranked[:top]],
             "healthy": self.healthy,
             "stages": [
                 {"stage": o.stage, "status": o.status, "detail": o.detail,
@@ -510,35 +525,13 @@ class DiscoveryReport:
         from repro.checkpoint import relation_fingerprint
 
         data = self.summary(top)
-        dependencies = []
-        for entry in self.dependencies:
-            if isinstance(entry, ReliableFD):
-                dependencies.append({
-                    "kind": "reliable",
-                    "lhs": sorted(entry.fd.lhs),
-                    "rhs": sorted(entry.fd.rhs),
-                    "score": entry.score,
-                    "information": entry.information,
-                    "sampled": entry.sampled,
-                    "confidence_radius": entry.confidence_radius,
-                })
-            else:
-                dependencies.append({
-                    "kind": "exact",
-                    "lhs": sorted(entry.lhs),
-                    "rhs": sorted(entry.rhs),
-                })
         artifacts = {
             "fingerprint": relation_fingerprint(self.relation),
             "healthy": self.healthy,
-            "cover": [{"lhs": sorted(fd.lhs), "rhs": sorted(fd.rhs)}
-                      for fd in self.cover],
-            "dependencies": dependencies,
-            "ranked": [
-                {"lhs": sorted(entry.fd.lhs), "rhs": sorted(entry.fd.rhs),
-                 "rank": None if math.isinf(entry.rank) else entry.rank}
-                for entry in self.ranked
-            ],
+            "cover": [_fd_json(fd) for fd in self.cover],
+            "dependencies": [_dependency_artifact(entry)
+                             for entry in self.dependencies],
+            "ranked": [_ranked_json(entry) for entry in self.ranked],
         }
         clustering = self.tuple_clustering
         view = getattr(clustering, "view", None)

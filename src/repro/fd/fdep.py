@@ -19,8 +19,6 @@ algorithm; it is intended for modest instances (the paper runs it on the
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from repro.budget import checkpoint
@@ -28,12 +26,9 @@ from repro.fd.dependency import FD
 from repro.fd.partitions import partition_of
 from repro.testing.faults import fault_point
 
-#: Pair-scan iterations between cooperative budget checkpoints (scalar path).
-_CHECK_EVERY = 512
-
-#: Widest schema the bitmask pair scan handles (one ``int64`` bit per
-#: attribute, with headroom under the sign bit).
-_MAX_MASK_ATTRIBUTES = 62
+#: Attributes packed into one ``int64`` agree-set word (one bit each, with
+#: headroom under the sign bit).
+_WORD_BITS = 62
 
 
 def _signature_matrix(relation) -> np.ndarray:
@@ -55,16 +50,29 @@ def _agree_masks_block(sig: np.ndarray, start: int, stop: int) -> set:
 
     Bit ``a`` of a mask is set iff the pair agrees on attribute ``a``.  One
     vectorized compare of row ``i`` against rows ``i+1 .. n-1`` replaces the
-    inner Python pair loop.
+    inner Python pair loop.  The agreements pack into one ``int64`` word per
+    :data:`_WORD_BITS` attributes; a schema that fits one word deduplicates
+    the words directly, a wider one joins each pair's words into one Python
+    int (word ``w`` shifted by ``w * _WORD_BITS`` bits).
     """
     arity = sig.shape[0]
-    weights = (np.int64(1) << np.arange(arity, dtype=np.int64))[:, None]
+    weights = (
+        np.int64(1) << np.arange(min(arity, _WORD_BITS), dtype=np.int64)
+    )[:, None]
     masks: set = set()
     for i in range(start, stop):
         anchor = sig[:, i : i + 1]
         eq = (sig[:, i + 1 :] == anchor) & (anchor >= 0)
-        bits = (eq * weights).sum(axis=0)
-        masks.update(np.unique(bits).tolist())
+        bits = (eq[:_WORD_BITS] * weights).sum(axis=0)
+        if arity <= _WORD_BITS:
+            masks.update(np.unique(bits).tolist())
+            continue
+        joined = bits.tolist()
+        for offset in range(_WORD_BITS, arity, _WORD_BITS):
+            block = eq[offset : offset + _WORD_BITS]
+            words = (block * weights[: block.shape[0]]).sum(axis=0).tolist()
+            joined = [low | (word << offset) for low, word in zip(joined, words)]
+        masks.update(joined)
     return masks
 
 
@@ -76,40 +84,21 @@ def _masks_to_sets(masks, names) -> set[frozenset]:
     }
 
 
-def _agree_sets_scalar(sig: np.ndarray, names, n: int, budget) -> set[frozenset]:
-    """Per-pair fallback for schemas wider than ``_MAX_MASK_ATTRIBUTES``."""
-    result: set[frozenset] = set()
-    arity = len(names)
-    for pair_index, (i, j) in enumerate(combinations(range(n), 2)):
-        if pair_index % _CHECK_EVERY == 0:
-            checkpoint(budget, units=_CHECK_EVERY, where="fdep.agree_sets")
-        column_i = sig[:, i]
-        column_j = sig[:, j]
-        agree = frozenset(
-            names[a]
-            for a in range(arity)
-            if column_i[a] >= 0 and column_i[a] == column_j[a]
-        )
-        result.add(agree)
-    return result
-
-
 def agree_sets(relation, budget=None) -> set[frozenset]:
     """All distinct agree sets of tuple pairs.
 
     Computed over per-attribute label arrays derived from the coded columns:
     the scan compares tuple ``i`` against all later tuples in one vectorized
-    pass, packing the per-attribute agreements into ``int64`` bitmasks (one
-    bit per attribute) and deduplicating masks before any frozensets are
-    built.  Schemas wider than 62 attributes fall back to the per-pair scan.
+    pass, packing the per-attribute agreements into ``int64`` bitmask words
+    (one bit per attribute, one word per 62 attributes) and deduplicating
+    masks before any frozensets are built.  The same scan serves every
+    schema width.
     """
     names = relation.schema.names
     n = len(relation)
     sig = _signature_matrix(relation)
 
     fault_point("fd.fdep.pairs")
-    if len(names) > _MAX_MASK_ATTRIBUTES:
-        return _agree_sets_scalar(sig, names, n, budget)
     masks: set = set()
     for i in range(n - 1):
         checkpoint(budget, units=n - 1 - i, where="fdep.agree_sets")

@@ -1,24 +1,26 @@
 """Vectorized numeric kernels for the clustering engine.
 
 The sparse pure-Python implementations in :mod:`repro.clustering.dcf` are
-exact and cheap for small inputs, but the AIB/LIMBO hot paths evaluate the
-pairwise merge cost ``delta_I`` (paper Eq. 3) O(n^2) times.  This package
-packs DCF conditionals into dense NumPy row matrices over a shared support
-index and batches those evaluations:
+exact and cheap for small inputs, but two LIMBO hot paths evaluate the merge
+cost ``delta_I`` (paper Eq. 3) many times over: the AIB merge loop of
+Phase 2 (O(n^2) pairs) and the object x representative association loop of
+Phase 3.  This package packs DCF conditionals into dense NumPy row matrices
+over a shared support index and batches those evaluations:
 
-* :class:`DenseDCFSet` -- a read-only packed view of a fixed DCF collection
-  (LIMBO Phase-3 representatives, tree entries, ...).
-* :class:`DenseMergeEngine` -- an incrementally growing packed store backing
-  the dense AIB merge loop (rows are appended as clusters merge).
-* :func:`merge_cost_many` / :func:`pairwise_merge_costs` /
-  :func:`closest_entry` -- the batched ``delta_I`` kernels.
-* :func:`use_dense` / :func:`validate_backend` -- the ``backend=`` knob
-  shared by :func:`repro.clustering.aib`, :class:`repro.clustering.DCFTree`
-  and :class:`repro.clustering.Limbo`.
+* :class:`DenseMergeEngine` + :class:`CandidateMatrix` -- the packed store
+  and pairwise candidate minima behind the dense AIB merge loop.
+* :class:`DenseDCFSet` + :func:`assign_many` / :func:`merge_cost_many` --
+  the packed Phase-3 representatives and the batched association kernels.
+* :func:`use_dense` / :func:`use_dense_assign` / :func:`validate_backend`
+  -- the ``backend=`` knob of :func:`repro.clustering.aib` and
+  :class:`repro.clustering.Limbo`, which steers only these two call sites.
+  The Phase-1 DCF-tree node scan compares at most ``B`` entries and is
+  always the scalar scan.
 
 The sparse path remains the correctness oracle: ``backend="auto"`` (the
-default everywhere) selects it for tiny inputs, and every kernel agrees with
-:func:`repro.clustering.dcf.merge_cost` to within floating-point roundoff.
+default everywhere) selects it for small inputs, and every kernel agrees
+with :func:`repro.clustering.dcf.merge_cost` to within floating-point
+roundoff.
 """
 
 from repro.kernels.dense import (
@@ -28,18 +30,14 @@ from repro.kernels.dense import (
     DENSE_MIN_ASSIGN_CELLS,
     DENSE_MIN_ENTRIES,
     DENSE_MIN_OBJECTS,
-    DENSE_MIN_REPRESENTATIVES,
-    DENSE_MIN_SCAN_CELLS,
     DENSE_WIDE_COLUMNS,
     CandidateMatrix,
     DenseDCFSet,
     DenseMergeEngine,
     assign_many,
-    closest_entry,
     dense_bytes,
     merge_cost_many,
     pack_seconds,
-    pairwise_merge_costs,
     reset_pack_seconds,
     shared_index,
     use_dense,
@@ -55,17 +53,13 @@ __all__ = [
     "DENSE_MIN_ASSIGN_CELLS",
     "DENSE_MIN_ENTRIES",
     "DENSE_MIN_OBJECTS",
-    "DENSE_MIN_REPRESENTATIVES",
-    "DENSE_MIN_SCAN_CELLS",
     "DENSE_WIDE_COLUMNS",
     "DenseDCFSet",
     "DenseMergeEngine",
     "assign_many",
-    "closest_entry",
     "dense_bytes",
     "merge_cost_many",
     "pack_seconds",
-    "pairwise_merge_costs",
     "reset_pack_seconds",
     "shared_index",
     "use_dense",

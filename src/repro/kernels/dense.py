@@ -26,13 +26,13 @@ import time
 
 import numpy as np
 
-from repro.clustering.dcf import LOSS_FLOOR, LOSS_QUANTUM_BITS, merge_cost
+from repro.clustering.dcf import LOSS_FLOOR, LOSS_QUANTUM_BITS
 
 _LOG2 = math.log(2.0)
 
 #: Wall-clock seconds spent packing DCFs into dense form (matrix gathers in
-#: ``DenseDCFSet.pack``, ``DenseMergeEngine.__init__`` and the
-#: ``closest_entry`` sub-matrix build).  The benchmark's ``pack_s`` metric.
+#: ``DenseDCFSet.pack`` and ``DenseMergeEngine.__init__``).  The benchmark's
+#: ``pack_s`` metric.
 _pack_seconds = 0.0
 
 
@@ -61,12 +61,9 @@ DENSE_MIN_OBJECTS = 40
 #: narrow supports stay under ~150 columns well past the object crossover.
 DENSE_WIDE_COLUMNS = 512
 
-#: ``backend="auto"`` switches a DCF-tree node scan to the batched kernel at
-#: this many entries (below it the NumPy call overhead dominates).
+#: The wide-support rule's floor: below this many clusters ``auto`` stays
+#: sparse however wide the support (a handful of rows never amortizes a pack).
 DENSE_MIN_ENTRIES = 8
-
-#: ``backend="auto"`` packs LIMBO Phase-3 representatives at this many reps.
-DENSE_MIN_REPRESENTATIVES = 8
 
 #: ``backend="auto"`` falls back to sparse when the packed matrix would
 #: exceed this many cells (the dense AIB engine allocates ~2n rows).
@@ -76,11 +73,6 @@ DENSE_MAX_CELLS = 50_000_000
 #: clusters: the candidate matrix is O((2n)^2) memory.  AIB inputs are
 #: normally LIMBO leaf summaries (hundreds), far below the cap.
 DENSE_MAX_OBJECTS = 2048
-
-#: A node scan gathering fewer cells than this (entries x query support)
-#: runs the scalar smaller-operand loop inside :func:`closest_entry`: NumPy
-#: dispatch overhead dominates the tiny scans a branching-4 DCF-tree does.
-DENSE_MIN_SCAN_CELLS = 4096
 
 #: ``backend="auto"`` packs LIMBO Phase-3 representatives only when the
 #: assignment workload (objects x representatives) reaches this many cost
@@ -116,19 +108,19 @@ def use_dense(
     backend: str,
     n: int,
     n_columns: int | None = None,
-    minimum: int = DENSE_MIN_OBJECTS,
     maximum: int | None = None,
     governor=None,
     candidates: bool = False,
 ) -> bool:
-    """Resolve the knob for a call site over ``n`` objects.
+    """Resolve the knob for the AIB merge loop over ``n`` clusters.
 
-    ``auto`` picks the dense kernels once ``n`` reaches ``minimum``, stays
-    at or below ``maximum`` (when given), and the packed matrix fits within
-    :data:`DENSE_MAX_CELLS`; explicit values are always honored.  Call sites
-    that report ``n_columns`` also go dense below ``minimum`` when the shared
-    support is :data:`DENSE_WIDE_COLUMNS` or wider (see that constant's
-    rationale) -- the gather amortizes over columns as well as rows.  With a
+    ``auto`` picks the dense kernels once ``n`` reaches
+    :data:`DENSE_MIN_OBJECTS`, stays at or below ``maximum`` (when given),
+    and the packed matrix fits within :data:`DENSE_MAX_CELLS`; explicit
+    values are always honored.  With ``n_columns`` reported, ``auto`` also
+    goes dense below the object threshold when the shared support is
+    :data:`DENSE_WIDE_COLUMNS` or wider (see that constant's rationale) --
+    the gather amortizes over columns as well as rows.  With a
     :class:`repro.budget.MemoryGovernor`, ``auto`` additionally refuses a
     dense allocation whose :func:`dense_bytes` estimate would cross the
     byte cap -- the sparse oracle needs no recovery path, so this refusal
@@ -139,7 +131,7 @@ def use_dense(
         return False
     if backend == "dense":
         return True
-    if n < minimum:
+    if n < DENSE_MIN_OBJECTS:
         wide = (
             n_columns is not None
             and n_columns >= DENSE_WIDE_COLUMNS
@@ -162,6 +154,7 @@ def use_dense_assign(
     backend: str,
     n_representatives: int,
     n_objects: int,
+    n_columns: int,
     governor=None,
 ) -> bool:
     """Resolve the knob for a Phase-3 assignment workload.
@@ -171,7 +164,9 @@ def use_dense_assign(
     of representatives already pays off over thousands of objects (the
     common LIMBO shape, e.g. ``k = 5`` over 10^4 tuples), while a few dozen
     objects never amortize the pack.  ``auto`` also defers to the memory
-    governor the way :func:`use_dense` does.
+    governor the way :func:`use_dense` does, booking the packed
+    ``n_representatives x n_columns`` ``float64`` matrix, where
+    ``n_columns`` is the size of the representatives' shared index.
     """
     validate_backend(backend)
     if backend == "sparse":
@@ -183,7 +178,7 @@ def use_dense_assign(
     if n_objects * n_representatives < DENSE_MIN_ASSIGN_CELLS:
         return False
     if governor is not None and governor.would_exceed(
-        dense_bytes(n_representatives)
+        8 * n_representatives * n_columns
     ):
         return False
     return True
@@ -311,31 +306,18 @@ class DenseDCFSet:
         ``(n, d)`` float64 joint masses; row ``r`` is ``dcfs[r]``.
     weights:
         ``(n,)`` cluster priors ``p(c)``.
-    wlogw / row_log_sums:
-        Cached ``w ln w`` and ``S = sum m ln m`` per row -- computed once at
-        pack time, never per pairwise call.
+    wlogw:
+        Cached ``w ln w`` per row -- computed once at pack time, never per
+        query.
     """
 
-    __slots__ = ("index", "matrix", "weights", "wlogw", "row_log_sums",
-                 "_supports")
+    __slots__ = ("index", "matrix", "weights", "wlogw")
 
     def __init__(self, index: dict, matrix: np.ndarray, weights: np.ndarray):
         self.index = index
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.wlogw = _xlogx(self.weights)
-        self.row_log_sums = _xlogx(self.matrix).sum(axis=1)
-        self._supports = None
-
-    @property
-    def supports(self) -> list:
-        """Per-row nonzero columns, for support-restricted pairwise scans.
-
-        Computed lazily: the Phase-3 assignment path never touches it.
-        """
-        if self._supports is None:
-            self._supports = [np.flatnonzero(row) for row in self.matrix]
-        return self._supports
 
     @classmethod
     def pack(cls, dcfs, index: dict | None = None) -> "DenseDCFSet":
@@ -461,97 +443,6 @@ def assign_many(dense: DenseDCFSet, rows, priors) -> list[int] | None:
     np.maximum(costs, 0.0, out=costs)
     costs = _quantize(costs)
     return np.argmin(costs, axis=0).tolist()
-
-
-def pairwise_merge_costs(dense: DenseDCFSet) -> np.ndarray:
-    """The full symmetric ``(n, n)`` matrix of pairwise merge costs (bits).
-
-    Row ``i`` is computed against rows ``i+1..n`` restricted to row ``i``'s
-    support, then mirrored; the diagonal is zero.
-    """
-    n = len(dense)
-    matrix, weights, wlogw = dense.matrix, dense.weights, dense.wlogw
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n - 1):
-        columns = dense.supports[i]
-        values = matrix[i, columns]
-        sub = matrix[i + 1 :, columns]
-        losses = (
-            _xlogx(weights[i + 1 :] + weights[i])
-            - wlogw[i + 1 :]
-            - wlogw[i]
-            + dense.row_log_sums[i]
-            + (_xlogx(sub) - _xlogx(sub + values)).sum(axis=1)
-        ) / _LOG2
-        np.maximum(losses, 0.0, out=losses)
-        losses = _quantize(losses)
-        out[i, i + 1 :] = losses
-        out[i + 1 :, i] = losses
-    return out
-
-
-def _closest_entry_scalar(entries, dcf) -> tuple[int, float]:
-    """The sparse strict-``<`` scan (tiny node scans; identical results)."""
-    best_index, best_cost = 0, merge_cost(entries[0], dcf)
-    for index in range(1, len(entries)):
-        cost = merge_cost(entries[index], dcf)
-        if cost < best_cost:
-            best_index, best_cost = index, cost
-    return best_index, best_cost
-
-
-def closest_entry(entries, dcf) -> tuple[int, float]:
-    """Index and cost of the entry closest to ``dcf`` (minimum ``delta_I``).
-
-    The batched twin of the DCF-tree's sparse node scan: packs only the
-    columns in ``supp(dcf)``, so cost is ``O(|entries| * |supp(dcf)|)``
-    regardless of how wide the entries' own supports are.  Ties resolve to
-    the lowest index, exactly like the sparse strict-``<`` loop.
-
-    Scans gathering fewer than :data:`DENSE_MIN_SCAN_CELLS` cells run that
-    sparse loop directly -- on a branching-4 tree node the NumPy dispatch
-    overhead is several times the arithmetic.  Both implementations emit
-    grid-quantized losses, so the answer is identical either way.
-    """
-    widest = max(len(entry.mass) for entry in entries)
-    if len(entries) * min(len(dcf.mass), widest) < DENSE_MIN_SCAN_CELLS:
-        return _closest_entry_scalar(entries, dcf)
-    query = dcf.arrays()
-    if query is None:
-        return _closest_entry_scalar(entries, dcf)
-    global _pack_seconds
-    started = time.perf_counter()
-    q_columns, values = query
-    sub = np.zeros((len(entries), q_columns.size), dtype=np.float64)
-    for r, entry in enumerate(entries):
-        arrays = entry.arrays()
-        if arrays is None:
-            get = entry.mass.get
-            sub[r] = [get(int(key), 0.0) for key in q_columns]
-            continue
-        e_columns, e_values = arrays
-        if e_columns.size == 0:
-            continue
-        positions = np.minimum(
-            np.searchsorted(e_columns, q_columns), e_columns.size - 1
-        )
-        hits = e_columns[positions] == q_columns
-        sub[r, hits] = e_values[positions[hits]]
-    weights = np.fromiter(
-        (entry.weight for entry in entries), dtype=np.float64, count=len(entries)
-    )
-    _pack_seconds += time.perf_counter() - started
-    costs = (
-        _xlogx(weights + dcf.weight)
-        - _xlogx(weights)
-        - _xlogx_scalar(dcf.weight)
-        + _xlogx(values).sum()
-        + (_xlogx(sub) - _xlogx(sub + values)).sum(axis=1)
-    ) / _LOG2
-    np.maximum(costs, 0.0, out=costs)
-    costs = _quantize(costs)
-    best = int(np.argmin(costs))
-    return best, float(costs[best])
 
 
 class DenseMergeEngine:

@@ -21,9 +21,10 @@ Two independence levels are provided on purpose:
 Both scale exponentially in arity; keep oracle relations at <= 8 attributes.
 
 The row-tuple oracles at the end (:func:`partition_of_rows`,
-:func:`build_tuple_view_rows`, :func:`build_value_view_rows`) are the
-per-row twins of the coded-column builders: they hash the row tuples
-directly, so the columnar parity suite can demand exact agreement.
+:func:`agree_sets_rows`, :func:`build_tuple_view_rows`,
+:func:`build_value_view_rows`) are the per-row twins of the coded-column
+builders: they compare or hash the row tuples directly, so the columnar
+parity suite can demand exact agreement.
 """
 
 from __future__ import annotations
@@ -179,6 +180,19 @@ def partition_of_rows(relation, attributes) -> Partition:
         key = tuple(row[p] for p in positions)
         buckets.setdefault(key, []).append(index)
     return Partition.from_classes(buckets.values(), len(relation))
+
+
+def agree_sets_rows(relation) -> set[frozenset]:
+    """Row-tuple oracle for :func:`repro.fd.fdep.agree_sets`: one tuple
+    pair at a time, one attribute at a time (NULL equals NULL)."""
+    names = relation.schema.names
+    return {
+        frozenset(
+            name for name, left, right in zip(names, row_i, row_j)
+            if left == right
+        )
+        for row_i, row_j in combinations(relation.rows, 2)
+    }
 
 
 def build_tuple_view_rows(relation, value_scope: str = "global") -> TupleView:

@@ -9,7 +9,7 @@ through both and demands exact agreement:
 * the matrix builders ``M``/``N``/``O`` (:func:`build_tuple_view` /
   :func:`build_value_view` vs their ``*_rows`` twins) and the DCF
   support sets derived from them,
-* FDEP agree sets (bitmask block scan vs the scalar pair loop).
+* FDEP agree sets (bitmask block scan vs the per-pair row loop).
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.clustering import DCF
 from repro.fd.fdep import (
     _agree_masks_block,
-    _agree_sets_scalar,
     _masks_to_sets,
     _signature_matrix,
     agree_sets,
@@ -29,6 +28,7 @@ from repro.fd.partitions import partition_of
 from repro.relation import NULL, Relation
 from repro.relation.matrices import build_tuple_view, build_value_view
 from repro.testing.oracles import (
+    agree_sets_rows,
     build_tuple_view_rows,
     build_value_view_rows,
     partition_of_rows,
@@ -138,27 +138,28 @@ class TestAgreeSetParity:
         for start in range(0, n - 1, 3):
             vectorized |= _masks_to_sets(
                 _agree_masks_block(sig, start, min(start + 3, n - 1)), names)
-        scalar = _agree_sets_scalar(sig, names, n, None)
-        assert vectorized == scalar
+        assert vectorized == agree_sets_rows(rel)
 
     @given(relation(min_rows=0, max_rows=10))
     @settings(max_examples=40)
     def test_agree_sets_entry_point(self, rel):
-        sig = _signature_matrix(rel)
-        names = list(rel.schema.names)
-        assert agree_sets(rel) == _agree_sets_scalar(sig, names, len(rel), None)
+        assert agree_sets(rel) == agree_sets_rows(rel)
 
 
 class TestWideRelationFallback:
-    def test_agree_sets_beyond_mask_width(self):
-        """More attributes than an int64 bitmask holds -> scalar fallback,
-        same answer."""
-        arity = 70
+    @pytest.mark.parametrize("arity", [
+        pytest.param(63, id="63-one-bit-in-second-word"),
+        pytest.param(124, id="124-two-full-words"),
+        pytest.param(125, id="125-one-bit-in-third-word"),
+        pytest.param(130, id="130-three-words"),
+    ])
+    def test_agree_sets_beyond_mask_width(self, arity):
+        """Schemas wider than one int64 word: the same block scan, with each
+        pair's words joined into one int, matches the per-pair oracle."""
         names = [f"A{i}" for i in range(arity)]
         rows = [
             tuple("x" if (r + c) % 3 else f"v{c}" for c in range(arity))
             for r in range(6)
         ]
         rel = Relation(names, rows)
-        sig = _signature_matrix(rel)
-        assert agree_sets(rel) == _agree_sets_scalar(sig, names, len(rel), None)
+        assert agree_sets(rel) == agree_sets_rows(rel)

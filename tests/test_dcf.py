@@ -3,6 +3,7 @@
 import pytest
 
 from repro.clustering import DCF, merge, merge_all, merge_cost
+from repro.clustering.dcf import closest
 from repro.infotheory import information_loss
 
 
@@ -113,3 +114,19 @@ class TestMergeCost:
         merged = merge(a, b)
         after = mutual_information_rows([merged.conditional], [merged.weight])
         assert merge_cost(a, b) == pytest.approx(before - after)
+
+
+class TestClosest:
+    def test_minimum_merge_cost_wins(self):
+        entries = [DCF(0.3, {0: 1.0}), DCF(0.3, {1: 0.5, 2: 0.5}),
+                   DCF(0.3, {2: 1.0})]
+        query = DCF(0.1, {2: 0.9, 1: 0.1})
+        costs = [merge_cost(entry, query) for entry in entries]
+        assert closest(entries, query) == (2, costs[2])
+        assert costs[2] == min(costs)
+
+    def test_tie_resolves_to_lowest_index(self):
+        entry = DCF(0.3, {0: 0.5, 1: 0.5})
+        entries = [DCF(0.3, {2: 1.0}), entry, entry.copy()]
+        best, _ = closest(entries, DCF(0.1, {0: 0.5, 1: 0.5}))
+        assert best == 1

@@ -145,51 +145,6 @@ class TestMergeCostMany:
         assert costs[0] == pytest.approx(0.0, abs=TOL)
 
 
-class TestPairwiseMergeCosts:
-    def test_matches_information_loss(self):
-        # Eq. 3 directly: delta_I = (w_p + w_q) * D_JS, via the infotheory
-        # reference implementation over conditionals.
-        from repro.infotheory import information_loss
-
-        dcfs = random_dcfs(8, 6, seed=14)
-        matrix = kernels.pairwise_merge_costs(kernels.DenseDCFSet.pack(dcfs))
-        for i in range(len(dcfs)):
-            for j in range(i + 1, len(dcfs)):
-                expected = information_loss(
-                    dcfs[i].conditional, dcfs[j].conditional,
-                    dcfs[i].weight, dcfs[j].weight,
-                )
-                assert matrix[i, j] == pytest.approx(expected, abs=TOL)
-
-    def test_matches_sparse_oracle(self):
-        dcfs = random_dcfs(15, 10, seed=3, density=0.4)
-        packed = kernels.DenseDCFSet.pack(dcfs)
-        matrix = kernels.pairwise_merge_costs(packed)
-        for i in range(len(dcfs)):
-            assert matrix[i, i] == 0.0
-            for j in range(i + 1, len(dcfs)):
-                expected = merge_cost(dcfs[i], dcfs[j])
-                assert matrix[i, j] == pytest.approx(expected, abs=TOL)
-                assert matrix[j, i] == matrix[i, j]
-
-
-class TestClosestEntry:
-    def test_matches_sparse_scan(self):
-        entries = random_dcfs(12, 8, seed=4)
-        query = random_dcfs(1, 8, seed=5)[0]
-        best, cost = kernels.closest_entry(entries, query)
-        sparse = [merge_cost(e, query) for e in entries]
-        expected = min(range(len(entries)), key=lambda r: (sparse[r], r))
-        assert best == expected
-        assert cost == pytest.approx(sparse[expected], abs=TOL)
-
-    def test_tie_resolves_to_lowest_index(self):
-        entry = DCF(0.3, {0: 0.5, 1: 0.5})
-        entries = [entry, entry.copy(), DCF(0.3, {2: 1.0})]
-        best, _ = kernels.closest_entry(entries, DCF(0.1, {0: 0.5, 1: 0.5}))
-        assert best == 0
-
-
 class TestDenseMergeEngine:
     def test_costs_match_sparse_after_merges(self):
         dcfs = random_dcfs(10, 8, seed=6)
@@ -327,11 +282,9 @@ class TestAutoHeuristic:
         assert kernels.use_dense("auto", 9, n_columns=1110) is True
 
     def test_wide_rule_needs_reported_columns(self):
-        # The DCF-tree node scan passes no n_columns; its threshold is
-        # unchanged by the wide-support rule.
-        assert kernels.use_dense(
-            "auto", 9, minimum=kernels.DENSE_MIN_ENTRIES
-        ) is True
+        # The same 9 clusters go dense only when the call site reports the
+        # support width; without it the object threshold alone decides.
+        assert kernels.use_dense("auto", 9, n_columns=1110) is True
         assert kernels.use_dense("auto", 9) is False
 
     def test_wide_rule_floor(self):
@@ -347,82 +300,32 @@ class TestAutoHeuristic:
 
     def test_assign_small_end_stays_sparse(self):
         # k=5 over 64 objects = 320 cells: sparse measured faster (~0.8x).
-        assert kernels.use_dense_assign("auto", 5, 64) is False
+        assert kernels.use_dense_assign("auto", 5, 64, 13) is False
 
     def test_assign_large_end_goes_dense(self):
         # k=5 over 8000 objects: dense measured ~3x faster.
-        assert kernels.use_dense_assign("auto", 5, 8000) is True
+        assert kernels.use_dense_assign("auto", 5, 8000, 13) is True
 
     def test_assign_threshold_is_cells_not_reps(self):
         cells = kernels.DENSE_MIN_ASSIGN_CELLS
-        assert kernels.use_dense_assign("auto", 4, cells // 4) is True
-        assert kernels.use_dense_assign("auto", 4, cells // 4 - 1) is False
+        assert kernels.use_dense_assign("auto", 4, cells // 4, 13) is True
+        assert kernels.use_dense_assign("auto", 4, cells // 4 - 1, 13) is False
 
     def test_assign_explicit_values_honored(self):
-        assert kernels.use_dense_assign("sparse", 100, 10_000) is False
-        assert kernels.use_dense_assign("dense", 2, 4) is True
+        assert kernels.use_dense_assign("sparse", 100, 10_000, 13) is False
+        assert kernels.use_dense_assign("dense", 2, 4, 13) is True
 
     def test_assign_rejects_singleton_rep_set(self):
-        assert kernels.use_dense_assign("auto", 1, 1_000_000) is False
+        assert kernels.use_dense_assign("auto", 1, 1_000_000, 13) is False
 
     def test_assign_defers_to_memory_governor(self):
         class Refusing:
             def would_exceed(self, n_bytes):
                 return True
 
-        assert kernels.use_dense_assign("auto", 5, 8000, governor=Refusing()) \
+        assert kernels.use_dense_assign("auto", 5, 8000, 13,
+                                        governor=Refusing()) \
             is False
-
-
-class TestClosestEntryVectorized:
-    """The gather path of ``closest_entry`` (scan >= DENSE_MIN_SCAN_CELLS)."""
-
-    def wide_instance(self, n_entries=8, n_columns=700, seed=21):
-        # n_entries * n_columns cells comfortably above the scalar cutoff,
-        # with a query support as wide as the entries'.
-        entries = random_dcfs(n_entries, n_columns, seed=seed, density=0.95)
-        query = random_dcfs(1, n_columns, seed=seed + 1, density=0.95)[0]
-        assert len(entries) * len(query.mass) >= kernels.DENSE_MIN_SCAN_CELLS
-        return entries, query
-
-    def test_matches_scalar_oracle(self):
-        entries, query = self.wide_instance()
-        best, cost = kernels.closest_entry(entries, query)
-        oracle_best, oracle_cost = kernels.dense._closest_entry_scalar(
-            entries, query
-        )
-        assert best == oracle_best
-        assert cost == oracle_cost  # both grid-snapped -> bitwise equal
-
-    def test_tie_resolves_to_lowest_index(self):
-        base = random_dcfs(1, 700, seed=23, density=0.95)[0]
-        entries = [base.copy() for _ in range(8)]
-        query = random_dcfs(1, 700, seed=24, density=0.95)[0]
-        assert len(entries) * len(query.mass) >= kernels.DENSE_MIN_SCAN_CELLS
-        best, _ = kernels.closest_entry(entries, query)
-        assert best == 0
-
-    def test_query_columns_missing_from_entries(self):
-        entries, query = self.wide_instance(seed=25)
-        shifted = DCF(query.weight, {
-            column + 10_000: p for column, p in query.conditional.items()
-        })
-        best, cost = kernels.closest_entry(entries, shifted)
-        oracle = kernels.dense._closest_entry_scalar(entries, shifted)
-        assert (best, cost) == oracle
-
-    def test_non_int_keys_fall_back_to_dict_gather(self):
-        entries, query = self.wide_instance(seed=26)
-        relabeled = [
-            DCF(e.weight, {f"c{k}": p for k, p in e.conditional.items()})
-            for e in entries
-        ]
-        wide_query = DCF(query.weight, {
-            f"c{k}": p for k, p in query.conditional.items()
-        })
-        best, cost = kernels.closest_entry(relabeled, wide_query)
-        oracle = kernels.dense._closest_entry_scalar(relabeled, wide_query)
-        assert (best, cost) == oracle
 
 
 class TestAssignMany:

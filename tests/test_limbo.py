@@ -213,12 +213,11 @@ class TestAssignCheckpointCadence:
         assert all(units == _CHECK_EVERY * len(reps) for units, _ in assign_calls)
 
     def test_dense_path_cadence_matches_sparse(self):
-        from repro import kernels
         from repro.clustering.limbo import _CHECK_EVERY
 
         n = 2 * _CHECK_EVERY
         limbo, rows, priors = self._fitted_limbo(n)
-        reps = [s.copy() for s in limbo.summaries[: kernels.DENSE_MIN_REPRESENTATIVES]]
+        reps = [s.copy() for s in limbo.summaries]
         counts = {}
         for backend in ("sparse", "dense"):
             budget = RecordingBudget()
@@ -254,3 +253,61 @@ class TestAssignCheckpointCadence:
         limbo.backend = "dense"
         dense = limbo.assign(reps)
         assert sparse == dense
+
+
+class TestPhaseThreeGovernor:
+    """Phase 3's cooperative memory check books the packed matrix, whose
+    size grows with the representatives' column count."""
+
+    N_REPS, N_COLUMNS = 2000, 2084
+
+    @classmethod
+    def wide_representatives(cls):
+        from repro.clustering import DCF
+
+        # Representative r covers columns r and N_REPS + r % 84, so the
+        # shared index spans all 2,084 columns.
+        spill = cls.N_COLUMNS - cls.N_REPS
+        return [
+            DCF(1.0 / cls.N_REPS, {r: 0.5, cls.N_REPS + r % spill: 0.5})
+            for r in range(cls.N_REPS)
+        ]
+
+    @staticmethod
+    def packs(monkeypatch):
+        from repro import kernels
+
+        packed = []
+        real_pack = kernels.DenseDCFSet.pack
+
+        def recording_pack(dcfs, index=None):
+            result = real_pack(dcfs, index=index)
+            packed.append(result.matrix.shape)
+            return result
+
+        monkeypatch.setattr(kernels.DenseDCFSet, "pack", recording_pack)
+        return packed
+
+    def test_capped_run_takes_sparse_loop(self, monkeypatch):
+        from repro.budget import MemoryGovernor
+        from repro.clustering.limbo import assign_rows
+
+        reps = self.wide_representatives()
+        packed = self.packs(monkeypatch)
+        budget = RecordingBudget()
+        budget.memory = MemoryGovernor(1 << 20)
+        rows = [{0: 0.5, self.N_REPS: 0.5}, {7: 1.0}]
+        assignment = assign_rows(reps, rows, [0.5, 0.5], "auto", budget=budget)
+        assert packed == []
+        assert assignment == [0, 7]
+        assert budget.memory.reserved == 0
+
+    def test_ungoverned_run_packs(self, monkeypatch):
+        from repro.clustering.limbo import assign_rows
+
+        reps = self.wide_representatives()
+        packed = self.packs(monkeypatch)
+        rows = [{0: 0.5, self.N_REPS: 0.5}, {7: 1.0}]
+        assignment = assign_rows(reps, rows, [0.5, 0.5], "auto")
+        assert packed == [(self.N_REPS, self.N_COLUMNS)]
+        assert assignment == [0, 7]
