@@ -50,7 +50,10 @@ from repro.relation import build_tuple_view
 #: moves its host CPU count to ``environment.cpus``.  v9 drops the
 #: ``pairwise`` section and ``pairwise_n``, and takes each sweep speedup as
 #: the median of per-round ratios, the backends running round by round.
-SCHEMA_VERSION = 9
+#: v10 takes those ratios over Phase 2 + 3 seconds (``kernel_phases_s``),
+#: the phases where the backends differ; Phase 1 is the same scalar code
+#: under every backend.
+SCHEMA_VERSION = 10
 
 FULL = {"sizes": (1000, 2000, 4000, 8000), "aib_leaves": 512,
         "repeats": 3, "phi": 1.0}
@@ -109,6 +112,7 @@ def timed_phases(view, backend, phi):
     timings["phase3_s"] = time.perf_counter() - start
 
     timings["total_s"] = sum(timings.values())
+    timings["kernel_phases_s"] = timings["phase2_s"] + timings["phase3_s"]
     timings["summaries"] = len(limbo.summaries)
     timings["pack_s"] = kernels.pack_seconds()
     return timings, assignment
@@ -121,7 +125,8 @@ def run_limbo_sweep(relation, sizes, repeats, phi):
     The backends run round by round, each round rotating which goes first,
     so a slow phase of the host (they last tens of seconds) lands on all
     three alike.  Each backend reports its best round; each speedup is the
-    median of the per-round ratios against sparse.
+    median of the per-round ratios against sparse of Phase 2 + 3 seconds,
+    the phases the backend steers.
     """
     rows = []
     for size in sizes:
@@ -152,7 +157,8 @@ def run_limbo_sweep(relation, sizes, repeats, phi):
             )
         for backend in ("dense", "auto"):
             entry[f"speedup_{backend}"] = statistics.median(
-                round_times["sparse"]["total_s"] / round_times[backend]["total_s"]
+                round_times["sparse"]["kernel_phases_s"]
+                / round_times[backend]["kernel_phases_s"]
                 for round_times in rounds
             )
         entry["assignments_identical"] = (
@@ -161,11 +167,13 @@ def run_limbo_sweep(relation, sizes, repeats, phi):
         rows.append(entry)
         best = entry["backends"]
         print(
-            f"  limbo n={size}: sparse {best['sparse']['total_s']:.3f}s"
-            f"  dense {best['dense']['total_s']:.3f}s"
-            f" ({entry['speedup_dense']:.2f}x)"
-            f"  auto {best['auto']['total_s']:.3f}s"
-            f" ({entry['speedup_auto']:.2f}x)"
+            f"  limbo n={size}, phases 2+3 (total):"
+            f" sparse {best['sparse']['kernel_phases_s']:.3f}s"
+            f" ({best['sparse']['total_s']:.3f}s)"
+            f"  dense {best['dense']['kernel_phases_s']:.3f}s"
+            f" ({best['dense']['total_s']:.3f}s, {entry['speedup_dense']:.2f}x)"
+            f"  auto {best['auto']['kernel_phases_s']:.3f}s"
+            f" ({best['auto']['total_s']:.3f}s, {entry['speedup_auto']:.2f}x)"
             f"  parity={entry['assignments_identical']}"
         )
     return rows
@@ -284,9 +292,9 @@ def main(argv=None):
     parser.add_argument(
         "--check-speedup", type=float, default=None, metavar="X",
         help="exit non-zero unless the dense AIB speedup is at least X, "
-        "neither auto nor dense loses to sparse at the largest LIMBO sweep "
-        "size (median of the per-round ratios), and dense packing stays "
-        "within 20%% of Phase-1 time",
+        "neither auto nor dense loses to sparse on Phases 2 + 3 at the "
+        "largest LIMBO sweep size (median of the per-round ratios), and "
+        "dense packing stays within 20%% of Phase-1 time",
     )
     args = parser.parse_args(argv)
 
@@ -375,16 +383,16 @@ def main(argv=None):
         if largest["speedup_auto"] < 1.0:
             print(
                 f"FAIL: the shipped auto backend at n={largest['n_tuples']} "
-                f"is slower than sparse (median round ratio "
-                f"{largest['speedup_auto']:.2f}x)",
+                f"is slower than sparse on Phases 2 + 3 (median round "
+                f"ratio {largest['speedup_auto']:.2f}x)",
                 file=sys.stderr,
             )
             return 1
         if largest["speedup_dense"] < 1.0:
             print(
                 f"FAIL: the dense backend at n={largest['n_tuples']} "
-                f"is slower than sparse (median round ratio "
-                f"{largest['speedup_dense']:.2f}x)",
+                f"is slower than sparse on Phases 2 + 3 (median round "
+                f"ratio {largest['speedup_dense']:.2f}x)",
                 file=sys.stderr,
             )
             return 1

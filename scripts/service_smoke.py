@@ -13,7 +13,9 @@ The full overload-and-crash story against a real daemon subprocess:
    complete;
 5. SIGKILL the daemon mid-ingest, restart it on the same checkpoint
    directory, and assert the rehydrated daemon acknowledges the replayed
-   chunk as a duplicate and answers the recorded query bit-identically.
+   chunk as a duplicate and answers the recorded top-FD and ``/assign``
+   queries bit-identically (the rebuilt assigner absorbs the rows
+   ingested since the mine again).
 
 Exits non-zero on the first violated invariant.  Stdlib + the repro
 package only.
@@ -121,6 +123,12 @@ def flood_retrying(port, n_requests):
     return outcomes
 
 
+def assignment(payload):
+    """The parts of an ``/assign`` answer a restart must not change."""
+    return {key: payload[key]
+            for key in ("cluster", "approximate", "stale_rows")}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-inflight", type=int, default=2)
@@ -172,6 +180,10 @@ def main():
 
         # 5. SIGKILL mid-ingest; restart must rehydrate bit-identically.
         client.append_rows("emp", make_rows(10, offset=50), seq=3)
+        probe = make_rows(1, offset=200)[0]
+        assigned = assignment(client.assign("emp", probe))
+        check(assigned["approximate"] and assigned["stale_rows"] == 10,
+              "assign after the seq-3 ingest is flagged approximate")
         daemon.kill()
         daemon.wait(30.0)
         print(f"  killed daemon (rc {daemon.returncode})")
@@ -188,6 +200,8 @@ def main():
               and after["dependencies"] == reference["dependencies"]
               and after["ranked"] == reference["ranked"],
               "restarted daemon answers bit-identically")
+        check(assignment(client.assign("emp", probe)) == assigned,
+              f"restarted daemon assigns identically ({assigned})")
 
         daemon.send_signal(signal.SIGTERM)
         rc = daemon.wait(60.0)

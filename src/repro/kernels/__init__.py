@@ -11,6 +11,9 @@ over a shared support index and batches those evaluations:
   and pairwise candidate minima behind the dense AIB merge loop.
 * :class:`DenseDCFSet` + :func:`assign_many` / :func:`merge_cost_many` --
   the packed Phase-3 representatives and the batched association kernels.
+* :class:`PostingsDCFSet` -- the daemon's Phase-3 scan (``repro serve``):
+  sparse per-column postings over the Phase-1 summaries, which absorb
+  served rows in place.  No ``backend`` knob steers it.
 * :func:`use_dense` / :func:`use_dense_assign` / :func:`validate_backend`
   -- the ``backend=`` knob of :func:`repro.clustering.aib` and
   :class:`repro.clustering.Limbo`, which steers only these two call sites.
@@ -34,6 +37,7 @@ from repro.kernels.dense import (
     CandidateMatrix,
     DenseDCFSet,
     DenseMergeEngine,
+    PostingsDCFSet,
     assign_many,
     dense_bytes,
     merge_cost_many,
@@ -56,6 +60,7 @@ __all__ = [
     "DENSE_WIDE_COLUMNS",
     "DenseDCFSet",
     "DenseMergeEngine",
+    "PostingsDCFSet",
     "assign_many",
     "dense_bytes",
     "merge_cost_many",

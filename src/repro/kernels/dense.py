@@ -445,6 +445,89 @@ def assign_many(dense: DenseDCFSet, rows, priors) -> list[int] | None:
     return np.argmin(costs, axis=0).tolist()
 
 
+#: The posting of a column no row carries yet (never written to).
+_NO_POSTING = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+
+
+class PostingsDCFSet:
+    """A column-major sparse store of a growing DCF collection.
+
+    The serving twin of :class:`DenseDCFSet`.  For every column key it keeps
+    a *posting*: the ascending ``int64`` rows that carry mass there and
+    those masses.  Memory is O(non-zeros), and a row absorbs an object with
+    a column no row has seen by opening one new posting, where a dense
+    matrix would grow a whole column.
+
+    Attributes
+    ----------
+    postings:
+        ``{column key: (rows, masses)}``.
+    weights:
+        ``(n,)`` cluster priors ``W``.
+    wlogw:
+        ``(n,)`` cached ``W ln W``.
+    """
+
+    __slots__ = ("postings", "weights", "wlogw")
+
+    def __init__(self, dcfs):
+        dcfs = list(dcfs)
+        if not dcfs:
+            raise ValueError("cannot pack zero DCFs")
+        columns: dict = {}
+        for r, dcf in enumerate(dcfs):
+            for key, m in dcf.mass.items():
+                rows, masses = columns.setdefault(key, ([], []))
+                rows.append(r)
+                masses.append(m)
+        self.postings = {
+            key: (np.array(rows, dtype=np.int64),
+                  np.array(masses, dtype=np.float64))
+            for key, (rows, masses) in columns.items()
+        }
+        self.weights = np.array([dcf.weight for dcf in dcfs], dtype=np.float64)
+        self.wlogw = _xlogx(self.weights)
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    def closest(self, mass, weight: float) -> int:
+        """Row whose merge with the query loses the least (Eq. 3).
+
+        ``mass`` is the query's sparse joint masses and ``weight`` its
+        prior.  Every row starts at ``(W+w)ln(W+w) - W ln W - w ln w``; a
+        query column adds ``m ln m + v ln v - (m+v)ln(m+v)`` at its posting
+        rows only, since the term is zero where a row has no mass.  Losses
+        are snapped to the shared grid and ties go to the lowest row, as in
+        :func:`repro.clustering.dcf.closest`.
+        """
+        costs = (_xlogx(self.weights + weight) - self.wlogw
+                 - _xlogx_scalar(weight))
+        hits = [(self.postings[key], v) for key, v in mass.items()
+                if key in self.postings]
+        if hits:
+            rows = np.concatenate([posting[0] for posting, _ in hits])
+            masses = np.concatenate([posting[1] for posting, _ in hits])
+            values = np.repeat([v for _, v in hits],
+                               [posting[0].size for posting, _ in hits])
+            terms = _xlogx(masses) + _xlogx(values) - _xlogx(masses + values)
+            costs += np.bincount(rows, weights=terms, minlength=costs.size)
+        return int(np.argmin(_quantize(np.maximum(costs / _LOG2, 0.0))))
+
+    def absorb(self, row: int, mass, weight: float) -> None:
+        """Merge a query into ``row`` in place (Equations 1-2)."""
+        for key, v in mass.items():
+            rows, masses = self.postings.get(key, _NO_POSTING)
+            at = int(np.searchsorted(rows, row))
+            if at < rows.size and rows[at] == row:
+                masses[at] += v
+            else:
+                self.postings[key] = (np.insert(rows, at, row),
+                                      np.insert(masses, at, v))
+        self.weights[row] += weight
+        self.wlogw[row] = _xlogx_scalar(float(self.weights[row]))
+
+
 class DenseMergeEngine:
     """Incrementally growing packed store backing the dense AIB loop.
 

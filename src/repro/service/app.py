@@ -22,10 +22,11 @@ report -- a pure function of the relation fingerprint and the discovery
 parameters, cached under exactly that key (see
 :mod:`repro.service.model_cache`).  Queries (top FDs, cluster assignment)
 are served from the last *mined* model; rows arriving after the mine are
-**absorbed** into a copy of its Phase-1 DCF summaries (the associative
-merge of Equations 1-2), so ``/assign`` keeps answering -- approximately,
-and flagged as such -- without a re-run, while the growing staleness
-watermark tells the server when a bounded background re-mine is due.
+**absorbed** into a packed copy of its Phase-1 DCF summaries (the
+associative merge of Equations 1-2), so ``/assign`` keeps answering --
+approximately, and flagged as such -- without a re-run, while the growing
+staleness watermark tells the server when a bounded background re-mine is
+due.
 
 Degraded models (a stage fell back under its budget) are served flagged
 but never persisted: a snapshot must never outlive the condition that
@@ -34,12 +35,15 @@ degraded it.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import threading
 
+from repro import kernels
 from repro.budget import Budget
 from repro.checkpoint.store import relation_fingerprint
-from repro.clustering.dcf import DCF, merge_cost
+# Unused here; perfbench/tracing.py wraps app.merge_cost by name.
+from repro.clustering.dcf import merge_cost  # noqa: F401
 from repro.core.discovery import StructureDiscovery
 from repro.errors import (
     InputError,
@@ -110,61 +114,53 @@ MAX_CHUNK_ROWS = 100_000
 class _Assigner:
     """Incrementally absorbable Phase-3 assignment state.
 
-    Holds *copies* of the mined model's DCF summaries and value catalog
-    (the cached model itself stays immutable), so new rows can be absorbed
-    in place via the associative merge of Equations 1-2: route the row's
-    singleton DCF to the closest summary, then ``absorb`` it there.  The
-    result approximates what a full re-run would produce; ``absorbed``
-    counts how far the approximation has drifted from the mined model.
+    Packs the mined model's DCF summaries into one
+    :class:`~repro.kernels.PostingsDCFSet` and copies its value catalog (the
+    cached model itself stays immutable), so new rows can be absorbed in
+    place via the associative merge of Equations 1-2: route the row's
+    singleton DCF to the closest summary, then merge it there.  The result
+    approximates what a full re-run would produce; ``absorbed`` counts how
+    far the approximation has drifted from the mined model.
     """
 
     def __init__(self, report):
         clustering = report.tuple_clustering
         catalog = clustering.view.catalog
-        self.scope = catalog.scope
-        self.ids = dict(catalog.ids)
-        self.keys = list(catalog.keys)
-        self.summaries = [s.copy() for s in clustering.limbo.summaries]
-        if not self.summaries:
-            raise ValueError("model has no cluster summaries")
+        self.catalog = dataclasses.replace(
+            catalog, ids=dict(catalog.ids), keys=list(catalog.keys))
+        self.summaries = kernels.PostingsDCFSet(clustering.limbo.summaries)
         self.names = report.relation.attributes
         self.arity = max(1, report.relation.arity)
         self.base_prior = 1.0 / max(1, len(report.relation))
         self.absorbed = 0
 
-    def _distribution(self, row, allocate: bool) -> dict:
-        mass = 1.0 / self.arity
-        sparse: dict = {}
+    def _mass(self, row, allocate: bool) -> dict:
+        """Joint masses of the row's singleton DCF."""
+        catalog = self.catalog
+        share = 1.0 / self.arity
+        conditional: dict = {}
         for name, literal in zip(self.names, row):
-            key = (name, literal) if self.scope == "attribute" else literal
-            value_id = self.ids.get(key)
-            if value_id is None:
-                if not allocate:
+            if allocate:
+                value_id = catalog.id_for(name, literal)
+            else:
+                value_id = catalog.ids.get(catalog.key_for(name, literal))
+                if value_id is None:
                     continue  # unseen value: contributes no known mass
-                value_id = len(self.keys)
-                self.ids[key] = value_id
-                self.keys.append(key)
-            sparse[value_id] = sparse.get(value_id, 0.0) + mass
-        return sparse
+            conditional[value_id] = conditional.get(value_id, 0.0) + share
+        return {key: self.base_prior * p for key, p in conditional.items()}
 
-    def _closest(self, singleton: DCF) -> int:
-        best, best_cost = 0, merge_cost(self.summaries[0], singleton)
-        for index in range(1, len(self.summaries)):
-            cost = merge_cost(self.summaries[index], singleton)
-            if cost < best_cost:
-                best, best_cost = index, cost
-        return best
+    def _closest(self, mass: dict) -> int:
+        return self.summaries.closest(mass, self.base_prior)
 
     def assign(self, row) -> int:
         """Closest cluster of a row (read-only; unseen values ignored)."""
-        return self._closest(DCF(self.base_prior,
-                                 self._distribution(row, allocate=False)))
+        return self._closest(self._mass(row, allocate=False))
 
     def absorb(self, row) -> int:
         """Fold one new row into its closest summary (Equations 1-2)."""
-        singleton = DCF(self.base_prior, self._distribution(row, True))
-        index = self._closest(singleton)
-        self.summaries[index].absorb(singleton)
+        mass = self._mass(row, allocate=True)
+        index = self._closest(mass)
+        self.summaries.absorb(index, mass, self.base_prior)
         self.absorbed += 1
         return index
 
@@ -479,20 +475,34 @@ class DiscoveryApp:
             key, lambda: self._compute(frozen, budget),
             persist=lambda value: value.healthy)
         with relation.lock:
+            relation.assigner = self._build_assigner(relation, report)
             relation.model_key = key
             relation.model_healthy = report.healthy
             relation.stale_rows = max(
                 0, relation.columns.n_rows - len(report.relation))
-            try:
-                relation.assigner = _Assigner(report)
-            except Exception:
-                relation.assigner = None  # degraded stage: assignment off
             relation.remines += 1
             self._persist(relation)
         payload = report.summary(top=max(1, top))
         payload.update({"relation": rid, "model_key": key,
                         "stale_rows": relation.stale_rows})
         return payload
+
+    @staticmethod
+    def _build_assigner(relation: ResidentRelation,
+                        report) -> _Assigner | None:
+        """The assigner of ``report`` with every row ingested since its mine
+        absorbed; ``None`` when its tuple-clustering stage degraded.
+
+        The caller holds ``relation.lock``.  Any other failure is a bug and
+        propagates (a 500), rather than passing for a degraded model.
+        """
+        limbo = report.tuple_clustering.limbo
+        if limbo is None or not limbo.summaries:
+            return None
+        assigner = _Assigner(report)
+        for row in relation.columns.row_tuples()[len(report.relation):]:
+            assigner.absorb(row)
+        return assigner
 
     def remine(self, rid: str, budget: Budget | None = None) -> dict:
         """The bounded background re-mine behind the staleness watermark."""
@@ -552,12 +562,11 @@ class DiscoveryApp:
         key, report = self._model_for(relation, budget)
         with relation.lock:
             if relation.assigner is None:
-                try:
-                    relation.assigner = _Assigner(report)
-                except Exception:
-                    raise ServiceUnavailable(
-                        f"model for {rid!r} carries no cluster summaries "
-                        "(degraded clustering stage); re-mine first")
+                relation.assigner = self._build_assigner(relation, report)
+            if relation.assigner is None:
+                raise ServiceUnavailable(
+                    f"model for {rid!r} carries no cluster summaries "
+                    "(degraded clustering stage); re-mine first")
             cluster = relation.assigner.assign(converted)
             absorbed = relation.assigner.absorbed
             n_clusters = len(relation.assigner.summaries)

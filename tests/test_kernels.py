@@ -11,6 +11,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.clustering import DCF, aib, merge, merge_cost
@@ -385,6 +387,79 @@ class TestAssignMany:
         packed = kernels.DenseDCFSet.pack([rep, rep.copy(), rep.copy()])
         block = kernels.assign_many(packed, [{0: 0.5, 1: 0.5}], [0.1])
         assert block == [0]
+
+
+def conditionals(n_columns):
+    """Sparse conditionals over ``n_columns`` columns (non-empty)."""
+    return st.dictionaries(st.integers(0, n_columns - 1),
+                           st.floats(0.01, 1.0), min_size=1, max_size=4)
+
+
+@st.composite
+def postings_cases(draw):
+    """A small DCF set plus a sequence of queries, each absorbed or not.
+
+    Queries may name up to three columns no DCF in the set carries, so
+    absorbs open new postings.
+    """
+    n_columns = draw(st.integers(1, 5))
+    dcfs = [DCF(draw(st.floats(0.01, 1.0)), draw(conditionals(n_columns)))
+            for _ in range(draw(st.integers(1, 6)))]
+    queries = draw(st.lists(
+        st.tuples(st.floats(0.001, 0.5), conditionals(n_columns + 3),
+                  st.booleans()),
+        min_size=1, max_size=8))
+    return dcfs, queries
+
+
+class TestPostingsDCFSet:
+    @given(postings_cases())
+    def test_closest_is_a_scalar_minimum_across_absorbs(self, case):
+        dcfs, queries = case
+        postings = kernels.PostingsDCFSet(dcfs)
+        for weight, conditional, absorb in queries:
+            query = DCF(weight, conditional)
+            chosen = postings.closest(query.mass, query.weight)
+            best = min(merge_cost(dcf, query) for dcf in dcfs)
+            assert merge_cost(dcfs[chosen], query) == pytest.approx(
+                best, abs=TOL)
+            if absorb:
+                postings.absorb(chosen, query.mass, query.weight)
+                dcfs[chosen].absorb(query)
+        assert list(postings.weights) == [dcf.weight for dcf in dcfs]
+
+    def test_postings_hold_the_dcf_masses(self):
+        dcfs = [DCF(0.5, {0: 0.5, 2: 0.5}), DCF(0.5, {2: 1.0})]
+        postings = kernels.PostingsDCFSet(dcfs)
+        rows, masses = postings.postings[2]
+        assert rows.tolist() == [0, 1]
+        assert masses.tolist() == [0.25, 0.5]
+        assert len(postings) == 2
+
+    def test_absorb_opens_and_grows_postings(self):
+        dcfs = [DCF(0.5, {0: 1.0}), DCF(0.25, {1: 1.0}), DCF(0.25, {0: 1.0})]
+        postings = kernels.PostingsDCFSet(dcfs)
+        postings.absorb(1, {0: 0.1, 7: 0.1}, 0.2)
+        assert postings.postings[0][0].tolist() == [0, 1, 2]
+        assert postings.postings[0][1].tolist() == [0.5, 0.1, 0.25]
+        assert postings.postings[7][0].tolist() == [1]
+        assert postings.weights[1] == pytest.approx(0.45)
+        assert postings.wlogw[1] == pytest.approx(0.45 * math.log(0.45))
+
+    def test_query_without_known_columns_picks_the_lightest_row(self):
+        dcfs = [DCF(0.5, {0: 1.0}), DCF(0.2, {1: 1.0}), DCF(0.3, {2: 1.0})]
+        postings = kernels.PostingsDCFSet(dcfs)
+        assert postings.closest({}, 0.1) == 1
+        assert postings.closest({9: 0.1}, 0.1) == 1
+
+    def test_tie_breaks_to_lowest_row(self):
+        rep = DCF(0.5, {0: 0.5, 1: 0.5})
+        postings = kernels.PostingsDCFSet([rep, rep.copy(), rep.copy()])
+        assert postings.closest({0: 0.05, 1: 0.05}, 0.1) == 0
+
+    def test_rejects_an_empty_set(self):
+        with pytest.raises(ValueError, match="zero DCFs"):
+            kernels.PostingsDCFSet([])
 
 
 class TestPackAccounting:
