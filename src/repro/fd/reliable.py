@@ -17,12 +17,17 @@ which is precisely the failure mode of raw ``g3``-style error on samples.
 
 Search follows Wan & Han ("Redundancy-Driven Top-k FD Discovery"): a
 set-enumeration tree per RHS over the coded int32 columns (partitions are
-fused-key ``np.unique`` passes, the PR-7 columnar idiom), pruned with the
-admissible bound
+fused-key ``np.unique`` passes).  A node ``X`` with tail ``T`` in the tree
+of a root whose closure (the root and its whole tail) is ``C`` is pruned
+with the admissible bound
 
-    F0(X' -> Y) <= I(X u T; Y) / H(Y)    for every X <= X' <= X u T
+    F0(X' -> Y) <= max(0, I(C; Y)/H(Y) - EMI(X; Y)/H(Y))
+                                            for every X <= X' <= X u T
 
-(mutual information is monotone under partition refinement and EMI >= 0).
+Refining the LHS never lowers the plug-in MI, and never lowers the EMI
+either: EMI is the mean over row permutations of a plug-in MI, the
+monotonicity Mandros et al. prune with.  ``I(C; Y)`` is one closure
+partition per (rhs, root) tree; the node's EMI comes from the memo.
 Pruning is *strict* (``ub < threshold``), so score ties at the top-k
 boundary are never discarded and the result is a pure function of the
 candidate set -- independent of traversal order and the pruning schedule.
@@ -65,6 +70,9 @@ _COMPACT_FACTOR = 8
 
 #: Cross-RHS partition memo capacity (LRU; entries are governor-booked).
 _MEMO_ENTRIES = 1024
+
+#: Relative rounding slack on the EMI term of the pruning bound.
+_EMI_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +228,17 @@ class _Scorer:
     counts, so ``H`` depends only on the set's class-size multiset, which
     the fold order that reached the set does not change: a hit is
     bit-identical to a recomputation.  On the DB2 sample (seed 1, top-10,
-    LHS <= 3) the search evaluates 5,290 entropies instead of 34,399.  The
+    LHS <= 3) the search evaluates 3,350 entropies instead of 13,007.  The
     LHS class sizes in run-length form (:func:`_size_runs`) are kept per set
     as well.
 
     The EMI memo maps the pair of class-size multisets (LHS counts, RHS
-    marginal, each as :func:`_size_runs`) to its EMI.  Far fewer multiset
-    pairs than nodes occur (1,393 for the 16,884 nodes of the DB2 sample,
-    seed 1), and the EMI is a pure function of the pair, so a hit is
-    bit-identical to a recomputation.  The entropy, size-run and EMI
-    entries are small and never evicted; they are booked with the governor
-    too and returned by :meth:`release_memo`.
+    marginal, each as :func:`_size_runs`) to its EMI, for a score or for a
+    pruning bound.  Far fewer multiset pairs than nodes occur (684 for the
+    6,350 nodes of the DB2 sample, seed 1), and the EMI is a pure function
+    of the pair, so a hit is bit-identical to a recomputation.  The
+    entropy, size-run and EMI entries are small and never evicted; they are
+    booked with the governor too and returned by :meth:`release_memo`.
     """
 
     def __init__(self, relation, budget=None,
@@ -376,6 +384,14 @@ class _Scorer:
         fraction = min(1.0, mi / h_y)
         if fraction < floor:
             return None
+        emi = self.emi(key, counts, y_position)
+        self.stats.candidates_scored += 1
+        corrected = min(1.0, max(0.0, (mi - emi) / h_y))
+        return corrected, fraction, support
+
+    def emi(self, key: int, counts: np.ndarray, y_position: int) -> float:
+        """``EMI(X;Y)`` of the set ``key`` with class sizes ``counts``, read
+        through the size-run and EMI memos."""
         runs = self._runs.get(key)
         if runs is None:
             runs = _size_runs(counts)
@@ -386,9 +402,7 @@ class _Scorer:
             emi = expected_mutual_information(
                 counts, self.marginals[y_position], self.logfact)
             self._remember_emi(emi_key, emi)
-        self.stats.candidates_scored += 1
-        corrected = min(1.0, max(0.0, (mi - emi) / h_y))
-        return corrected, fraction, support
+        return emi
 
     def _remember_runs(self, key: int, runs: bytes) -> None:
         self._book((key.bit_length() + 7) // 8 + len(runs),
@@ -401,13 +415,8 @@ class _Scorer:
 
     def upper_bound(self, key: int, inv: np.ndarray, tail_positions,
                     y_position: int):
-        """Admissible bound on every score in the subtree under ``key``.
-
-        ``I(X u T; Y)/H(Y)`` bounds ``F0(X' -> Y)`` for all ``X'`` between
-        ``X`` and ``X u T``: refining the LHS only grows plug-in MI, and
-        the EMI correction only ever subtracts.  (EMI of a specialization
-        is *not* provably below the parent's, so the bound deliberately
-        uses ``EMI >= 0`` and nothing sharper.)
+        """The plug-in fraction ``I(X u T; Y)/H(Y)`` of the closure of
+        ``key`` and its tail: the first term of :meth:`bound`.
 
         The closure partition is folded from-scratch and counted as *one*
         materialized partition -- the same unit as TANE's ``partition_of``,
@@ -416,9 +425,6 @@ class _Scorer:
         closures repeat heavily across RHS trees (``{r..m}`` is shared by
         every ``y < r``).
         """
-        h_y = self.h[y_position]
-        if h_y <= 0.0:
-            return 0.0
         closure_key = key
         for p in tail_positions:
             closure_key |= 1 << p
@@ -435,7 +441,25 @@ class _Scorer:
         else:
             closure, counts = hit
         mi, _ = self.information(closure_key, closure, counts, y_position)
-        return min(1.0, mi / h_y)
+        return min(1.0, mi / self.h[y_position])
+
+    def bound(self, closure_bound: float, key: int, counts: np.ndarray,
+              y_position: int) -> float:
+        """Admissible bound on ``F0(X' -> Y)`` for every ``X'`` between the
+        set ``key`` (class sizes ``counts``) and a closure whose plug-in
+        fraction is ``closure_bound``.
+
+        EMI is the mean over row permutations ``s`` of the plug-in
+        ``I(X; Y o s)``, and for each ``s`` that MI only grows when ``X``
+        is refined.  So ``EMI(X') >= EMI(X)`` and ``I(X'; Y)`` is at most
+        the closure's, which gives ``F0(X' -> Y) <= closure_bound -
+        EMI(X; Y)/H(Y)``.  The EMI is shrunk by ``_EMI_SLACK`` to absorb
+        rounding, and the bound is clamped at 0 as the score is: strict
+        pruning against a threshold of 0.0 must keep the ties there.
+        """
+        emi = self.emi(key, counts, y_position)
+        return max(0.0, closure_bound
+                   - emi * (1.0 - _EMI_SLACK) / self.h[y_position])
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +511,22 @@ def reliable_score(relation, lhs, rhs) -> float:
 
 
 def specialization_upper_bound(relation, lhs, tail, rhs) -> float:
-    """Admissible bound on ``F0(X' -> rhs)`` for every ``lhs <= X' <= lhs u tail``."""
+    """Admissible bound on ``F0(X' -> rhs)`` for every ``lhs <= X' <= lhs u tail``.
+
+    The bound the search prunes with (:meth:`_Scorer.bound`): the closure's
+    plug-in fraction minus the EMI fraction of ``lhs``, clamped at 0.
+    """
     scorer = _Scorer(relation)
     (y,) = _positions(relation, [rhs])
     lhs_positions = sorted(_positions(relation, list(lhs)))
     tail_positions = sorted(_positions(relation, list(tail)))
     if not lhs_positions:
         raise ValueError("lhs must be non-empty")
-    key, inv, _ = _fold(scorer, lhs_positions)
-    return scorer.upper_bound(key, inv, tail_positions, y)
+    if scorer.h[y] <= 0.0:
+        return 0.0
+    key, inv, counts = _fold(scorer, lhs_positions)
+    return scorer.bound(scorer.upper_bound(key, inv, tail_positions, y),
+                        key, counts, y)
 
 
 def confidence_radius(m: int, support: int, alpha: float, h_y: float) -> float:
@@ -608,15 +639,19 @@ def _descend(scorer: _Scorer, collector: _Collector, y: int,
              max_lhs_size: int, tree_bound: float | None) -> None:
     """Score the node ``chosen -> y`` and recurse over its tail.
 
-    ``tree_bound`` is the root subtree's closure bound; every node's own
-    closure is a subset of the root's, so one bound per (rhs, root) tree is
-    admissible everywhere inside it.  It is checked at every node because
-    the threshold keeps rising while the tree is walked.
+    ``tree_bound`` is the plug-in fraction of the root subtree's closure.
+    Every node's own closure is a subset of the root's, so the node's tail
+    is cut when :meth:`_Scorer.bound` -- ``tree_bound`` less the node's own
+    EMI fraction -- is below the threshold.  It is checked at every node
+    with a tail, because the threshold keeps rising while the tree is
+    walked and the EMI grows with the depth.  The node's EMI is read only
+    when ``tree_bound`` alone does not already cut.
 
     A node whose plug-in fraction is below the threshold is not scored and
     not offered to the collector (its corrected score would be below it
-    too, and the collector would drop it), but its subtree is still walked:
-    the search is the same with or without the skip.
+    too, and the collector would drop it).  Its subtree is still walked
+    unless the bound cuts it, so the search is the same with or without the
+    skip.
     """
     checkpoint(scorer.budget, units=scorer.n, where="fd.reliable.node")
     fault_point("fd.reliable.node")
@@ -629,8 +664,9 @@ def _descend(scorer: _Scorer, collector: _Collector, y: int,
     if not usable_tail:
         return
     threshold = collector.threshold()
-    if (tree_bound is not None and threshold > -math.inf
-            and tree_bound < threshold):
+    if threshold > -math.inf and (
+            tree_bound < threshold
+            or scorer.bound(tree_bound, key, counts, y) < threshold):
         scorer.stats.subtrees_pruned += 1
         scorer.stats.pruned.append((
             scorer.names[y],

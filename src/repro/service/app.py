@@ -500,7 +500,13 @@ class DiscoveryApp:
         if limbo is None or not limbo.summaries:
             return None
         assigner = _Assigner(report)
-        for row in relation.columns.row_tuples()[len(report.relation):]:
+        store, start = relation.columns, len(report.relation)
+        # Decode only the rows past the mine, so a rebuild with none to
+        # absorb costs nothing, whatever the size of the relation.
+        late = [[dictionary.values[code] for code in column[start:].tolist()]
+                for dictionary, column in zip(store.dictionaries,
+                                              store.columns)]
+        for row in zip(*late):
             assigner.absorb(row)
         return assigner
 

@@ -255,6 +255,32 @@ class TestStats:
         assert stats.sampled_rows == 20
 
 
+class TestNodeEmiBound:
+    """The pruning bound subtracts each node's own EMI from its tree's
+    closure bound (``_Scorer.bound``)."""
+
+    def test_clamp_keeps_zero_score_ties(self):
+        # Every top-3 score is 0.0, so the threshold is 0.0 and several
+        # node bounds go negative; unclamped, they cut AB -> C.
+        rows = ["A0B1C0", "A1B1C1", "A0B1C0", "A0B0C0",
+                "A0B1C1", "A1B1C0", "A1B0C0", "A0B0C1"]
+        relation = Relation(("A", "B", "C"),
+                            [(r[0:2], r[2:4], r[4:6]) for r in rows])
+        assert mine_topk(relation, k=3) == brute_force_topk(relation, 3)
+
+    def test_node_emi_halves_the_search(self, monkeypatch):
+        relation = db2_sample(seed=1).relation
+        stats = ReliableMiningStats()
+        mined = mine_topk(relation, k=10, max_lhs_size=3, stats=stats)
+        monkeypatch.setattr(
+            reliable._Scorer, "bound",
+            lambda self, closure_bound, key, counts, y: closure_bound)
+        closure_only = ReliableMiningStats()
+        assert mine_topk(relation, k=10, max_lhs_size=3,
+                         stats=closure_only) == mined
+        assert 2 * stats.nodes_visited <= closure_only.nodes_visited
+
+
 def _multiset(counts):
     return tuple(sorted(int(c) for c in counts if c > 0))
 
@@ -339,12 +365,13 @@ class TestScoringCost:
     def _mine_counted(monkeypatch, bypass=False):
         """Mine with entropy and size-run evaluations counted, and with the
         attribute sets ``information`` reads and the LHS sets given an EMI
-        recorded as bitmasks; ``bypass`` disables both memos."""
+        (for a score or a bound) recorded as bitmasks; ``bypass`` disables
+        both memos."""
         work = {"entropy": 0, "runs": 0}
-        touched, scored = set(), set()
+        touched, given_emi = set(), set()
         entropy, runs = reliable._canonical_entropy, reliable._size_runs
         information = reliable._Scorer.information
-        score = reliable._Scorer.score
+        emi = reliable._Scorer.emi
 
         def counting_entropy(counts):
             work["entropy"] += 1
@@ -358,37 +385,34 @@ class TestScoringCost:
             touched.update((key, key | 1 << y))
             return information(self, key, inv, counts, y)
 
-        def recording_score(self, key, *args, **kwargs):
-            result = score(self, key, *args, **kwargs)
-            if result is not None:
-                scored.add(key)
-            return result
+        def recording_emi(self, key, counts, y):
+            given_emi.add(key)
+            return emi(self, key, counts, y)
 
         monkeypatch.setattr(reliable, "_canonical_entropy", counting_entropy)
         monkeypatch.setattr(reliable, "_size_runs", counting_runs)
         monkeypatch.setattr(
             reliable._Scorer, "information", recording_information)
-        monkeypatch.setattr(reliable._Scorer, "score", recording_score)
+        monkeypatch.setattr(reliable._Scorer, "emi", recording_emi)
         if bypass:
             for name in ("_remember_entropy", "_remember_runs"):
                 monkeypatch.setattr(
                     reliable._Scorer, name, lambda *args: None)
-        stats = ReliableMiningStats()
         result = mine_topk(db2_sample(seed=1).relation, k=10,
-                           max_lhs_size=3, stats=stats)
+                           max_lhs_size=3)
         monkeypatch.undo()
-        return result, stats, work, touched, scored
+        return result, work, touched, given_emi
 
     def test_entropy_computed_once_per_attribute_set(self, monkeypatch):
-        result, stats, work, _, scored = self._mine_counted(monkeypatch)
-        baseline, _, _, touched, _ = self._mine_counted(
+        result, work, _, given_emi = self._mine_counted(monkeypatch)
+        baseline, bare, touched, _ = self._mine_counted(
             monkeypatch, bypass=True)
         arity = len(db2_sample(seed=1).relation.schema.names)
         # Every singleton's entropy is taken once at set-up, as H(Y).
         touched |= {1 << p for p in range(arity)}
         assert work["entropy"] <= len(touched)
-        assert 3 * work["entropy"] < stats.nodes_visited
-        assert work["runs"] <= len(scored) + arity
+        assert 3 * work["entropy"] < bare["entropy"]
+        assert work["runs"] <= len(given_emi) + arity
         assert result == baseline
 
     def test_emi_memo_booked_and_released(self):

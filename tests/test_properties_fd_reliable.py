@@ -7,6 +7,8 @@ Marked ``statistical``: the tier-1 run executes them under the cheap
 The properties are the miner's actual correctness argument:
 
 * the bias-corrected score is a total function into ``[0, 1]``;
+* EMI never falls when the LHS is refined, the lemma that lets the
+  search's bound subtract the node's own EMI;
 * the specialization bound dominates the score of *every* extension it
   claims to cover (admissibility of the bound itself);
 * every subtree the search cut really contained no candidate that could
@@ -93,6 +95,22 @@ class TestScoreRange:
                 for lhs in combinations(others, size):
                     score = reliable_score(relation, lhs, rhs)
                     assert 0.0 <= score <= 1.0
+
+
+class TestEmiMonotonicity:
+    @given(small_relation(min_arity=2))
+    def test_refinement_never_lowers_emi(self, relation):
+        arity = len(relation.schema.names)
+        scorer = _Scorer(relation)
+        for y in range(arity):
+            emis = {}
+            for positions in _subsets([p for p in range(arity) if p != y]):
+                key, _, counts = _fold(scorer, positions)
+                emis[key] = scorer.emi(key, counts, y)
+            for key, emi in emis.items():
+                for finer, finer_emi in emis.items():
+                    if key & finer == key:
+                        assert finer_emi >= emi * (1 - 1e-9), (key, finer, y)
 
 
 class TestSpecializationBound:

@@ -115,6 +115,45 @@ def test_restarted_assigner_absorbs_the_rows_since_the_mine(tmp_path,
     assert reborn.top_fds("r")["approximate"] is True
 
 
+def test_assigner_build_decodes_only_the_rows_since_the_mine(
+        tmp_path, dblp_rows, monkeypatch):
+    attributes, base, held = dblp_rows
+    app = fresh_app(tmp_path, attributes, base)
+    app.build_model("r")
+    app.append_rows("r", {"rows": held[:8], "seq": 2})
+    decoded = []
+
+    class CountingValues(list):
+        def __getitem__(self, code):
+            decoded.append(code)
+            return list.__getitem__(self, code)
+
+    build = DiscoveryApp._build_assigner
+
+    def counting_build(relation, report):
+        """Count every dictionary value the build decodes."""
+        dictionaries = relation.columns.dictionaries
+        plain = [dictionary.values for dictionary in dictionaries]
+        for dictionary in dictionaries:
+            dictionary.values = CountingValues(dictionary.values)
+        try:
+            return build(relation, report)
+        finally:
+            for dictionary, values in zip(dictionaries, plain):
+                dictionary.values = values
+
+    monkeypatch.setattr(DiscoveryApp, "_build_assigner",
+                        staticmethod(counting_build))
+    reborn = DiscoveryApp(CheckpointStore(tmp_path), params=PARAMS)
+    reborn.rehydrate()
+    assert reborn.assign("r", {"row": held[40]})["stale_rows"] == 8
+    assert len(decoded) == 8 * len(attributes)
+    decoded.clear()
+    reborn.build_model("r")
+    assert reborn.relations["r"].assigner.absorbed == 0
+    assert decoded == []
+
+
 def test_model_built_under_ingest_absorbs_the_late_rows(tmp_path,
                                                         dblp_rows):
     attributes, base, held = dblp_rows
