@@ -90,9 +90,10 @@ def best_of(repeats, fn):
 def timed_phases(view, backend, phi):
     """Per-phase wall-clock of one LIMBO run under ``backend``.
 
-    ``pack_s`` is the dense-packing overhead inside the run (DCF gather into
-    matrices, merge-engine builds): the price the dense backend pays before
-    its kernels start winning, gated in CI against Phase-1 time.
+    ``pack_s`` is the packing overhead inside the run (the AIB merge
+    engine's matrix gathers, the Phase-3 postings build): the price the
+    kernel backends pay before their kernels start winning, gated in CI
+    against Phase-1 time.
     """
     timings = {}
     kernels.reset_pack_seconds()

@@ -254,11 +254,11 @@ class DCFTree:
             return None
 
         index, _ = closest(node.entries, dcf)
-        # Absorb into the routing summary first: the child will consume dcf.
-        routing_copy = dcf.copy()
         overflow = self._insert_into(node.children[index], dcf)
         if overflow is None:
-            node.entries[index].absorb(routing_copy)
+            # The child's insert never mutates dcf (at most it becomes a new
+            # leaf entry), so the routing summary can absorb it afterwards.
+            node.entries[index].absorb(dcf)
             return None
         left, right = overflow
         node.entries[index] = self._summary(left)

@@ -57,10 +57,14 @@ class Limbo:
         exhaustion.
     backend:
         ``"auto"`` (default), ``"sparse"`` or ``"dense"``; threaded through
-        to AIB (Phase 2) and the association loop (Phase 3).  ``auto`` lets
-        each pick the vectorized :mod:`repro.kernels` path when its input is
-        large enough to win.  Phase 1 does not read it: the DCF-tree node
-        scan compares at most ``branching`` entries and is always scalar.
+        to AIB (Phase 2) and the association loop (Phase 3).  In AIB,
+        ``auto`` picks the dense :mod:`repro.kernels` engine when its input
+        is large enough to win.  In Phase 3, ``sparse`` runs the scalar
+        :func:`repro.clustering.dcf.closest` scan, the oracle, and ``auto``
+        and ``dense`` both run the :class:`repro.kernels.PostingsDCFSet`
+        kernel (see :func:`assign_rows`).  Phase 1 does not read it: the
+        DCF-tree node scan compares at most ``branching`` entries and is
+        always scalar.
     checkpoint:
         Optional :class:`repro.checkpoint.StageCheckpoint`.  The Phase-1
         summaries are snapshotted once :meth:`fit` completes (keyed by a
@@ -311,61 +315,31 @@ def assign_rows(representatives, rows, priors, backend, budget=None) -> list[int
     """Associate each row with its closest representative (Phase 3 core).
 
     The implementation behind :meth:`Limbo.assign`; each object's
-    assignment depends only on its own row.
+    assignment depends only on its own row.  ``backend="sparse"`` runs the
+    scalar :func:`repro.clustering.dcf.closest` scan per object, the
+    oracle.  ``auto`` and ``dense`` feed ``_CHECK_EVERY``-object blocks to
+    one :class:`repro.kernels.PostingsDCFSet` over the representatives,
+    unless the memory governor refuses its :func:`repro.kernels.postings_bytes`
+    estimate.  Both give the same assignments and checkpoint once per block.
     """
     reps = list(representatives)
     rows = rows if isinstance(rows, list) else list(rows)
     priors = priors if isinstance(priors, list) else list(priors)
-    if backend != "sparse":
-        columns = kernels.shared_index(reps)
-        if kernels.use_dense_assign(
-            backend, len(reps), len(rows), len(columns),
-            governor=getattr(budget, "memory", None),
-        ):
-            packed = kernels.DenseDCFSet.pack(reps, index=columns)
-            return _assign_rows_packed(packed, rows, priors, budget)
-    assignment = []
-    for index, (row, prior) in enumerate(zip(rows, priors)):
-        if index % _CHECK_EVERY == 0:
-            checkpoint(
-                budget,
-                units=_CHECK_EVERY * len(reps),
-                where="limbo.assign",
-            )
-        assignment.append(closest(reps, DCF(prior, row))[0])
-    return assignment
-
-
-def _assign_rows_packed(packed, rows, priors, budget) -> list[int]:
-    """The dense Phase-3 loop, one ``_CHECK_EVERY``-object chunk at a time.
-
-    Chunking serves the budget cadence (one checkpoint per chunk, the same
-    count and units the sparse loop emits) and bounds the CSR scratch of
-    :func:`repro.kernels.assign_many`.  Chunks the batched kernel declines
-    (non-int keys, empty rows) fall back to per-object
-    :func:`repro.kernels.merge_cost_many` -- identical assignments either
-    way, both paths emit grid-quantized losses.
-    """
-    n_reps = len(packed)
+    governor = getattr(budget, "memory", None)
+    refused = governor is not None and governor.would_exceed(
+        kernels.postings_bytes(reps, _CHECK_EVERY))
+    if backend != "sparse" and not refused:
+        assign_block = kernels.PostingsDCFSet(reps).closest_many
+    else:
+        def assign_block(block_rows, block_priors):
+            return [closest(reps, DCF(prior, row))[0]
+                    for row, prior in zip(block_rows, block_priors)]
     assignment: list[int] = []
     for start in range(0, len(rows), _CHECK_EVERY):
-        checkpoint(
-            budget,
-            units=_CHECK_EVERY * n_reps,
-            where="limbo.assign",
-        )
-        chunk_rows = rows[start:start + _CHECK_EVERY]
-        chunk_priors = priors[start:start + _CHECK_EVERY]
-        block = kernels.assign_many(packed, chunk_rows, chunk_priors)
-        if block is not None:
-            assignment.extend(block)
-            continue
-        for row, prior in zip(chunk_rows, chunk_priors):
-            if prior <= 0.0:
-                raise ValueError("cluster prior must be positive")
-            mass = {key: prior * p for key, p in row.items() if p > 0.0}
-            costs = kernels.merge_cost_many(packed, mass, prior)
-            assignment.append(int(costs.argmin()))
+        checkpoint(budget, units=_CHECK_EVERY * len(reps),
+                   where="limbo.assign")
+        stop = start + _CHECK_EVERY
+        assignment.extend(assign_block(rows[start:stop], priors[start:stop]))
     return assignment
 
 

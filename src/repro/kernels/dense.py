@@ -1,4 +1,4 @@
-"""Dense/packed DCF representations and batched ``delta_I`` kernels.
+"""Packed DCF representations and batched ``delta_I`` kernels.
 
 All kernels work in *joint-mass* space (``m_k = p(c) * p(k|c)``), the same
 representation the sparse :class:`repro.clustering.dcf.DCF` uses, and
@@ -10,9 +10,10 @@ evaluate the information loss of Eq. 3 through the entropy identity
 with ``W = w_a + w_b`` and ``S = sum_k m_k ln m_k`` -- the vectorized twin
 of the ``H(p_bar) - pi H(p) - pi H(q)`` Jensen-Shannon form.  Because
 columns outside the support of the *query* operand cancel between ``S_a``
-and ``S_merged``, every kernel restricts its column gather to the query's
-support: cost is ``O(rows * |supp(query)|)`` in vectorized element
-operations, mirroring the smaller-operand trick of the sparse path.
+and ``S_merged``, every kernel restricts its work to the query's support,
+mirroring the smaller-operand trick of the sparse path: the AIB engine
+gathers those columns of a dense matrix, and :class:`PostingsDCFSet` reads
+only their postings.
 
 Zero masses are handled with the ``0 ln 0 = 0`` convention throughout, so
 zero-mass columns and disjoint supports agree exactly with the sparse
@@ -30,9 +31,9 @@ from repro.clustering.dcf import LOSS_FLOOR, LOSS_QUANTUM_BITS
 
 _LOG2 = math.log(2.0)
 
-#: Wall-clock seconds spent packing DCFs into dense form (matrix gathers in
-#: ``DenseDCFSet.pack`` and ``DenseMergeEngine.__init__``).  The benchmark's
-#: ``pack_s`` metric.
+#: Wall-clock seconds spent packing DCFs (the matrix gathers of
+#: ``DenseMergeEngine.__init__`` and the postings build of
+#: ``PostingsDCFSet.__init__``).  The benchmark's ``pack_s`` metric.
 _pack_seconds = 0.0
 
 
@@ -43,7 +44,7 @@ def reset_pack_seconds() -> None:
 
 
 def pack_seconds() -> float:
-    """Seconds spent in dense packing since the last reset."""
+    """Seconds spent packing DCFs since the last reset."""
     return _pack_seconds
 
 #: Legal values of the ``backend=`` knob.
@@ -73,12 +74,6 @@ DENSE_MAX_CELLS = 50_000_000
 #: clusters: the candidate matrix is O((2n)^2) memory.  AIB inputs are
 #: normally LIMBO leaf summaries (hundreds), far below the cap.
 DENSE_MAX_OBJECTS = 2048
-
-#: ``backend="auto"`` packs LIMBO Phase-3 representatives only when the
-#: assignment workload (objects x representatives) reaches this many cost
-#: evaluations -- below it the pack + per-chunk CSR overhead beats nothing.
-DENSE_MIN_ASSIGN_CELLS = 2048
-
 
 def validate_backend(backend: str) -> str:
     """Check a ``backend=`` knob value, returning it unchanged."""
@@ -150,40 +145,6 @@ def use_dense(
     return True
 
 
-def use_dense_assign(
-    backend: str,
-    n_representatives: int,
-    n_objects: int,
-    n_columns: int,
-    governor=None,
-) -> bool:
-    """Resolve the knob for a Phase-3 assignment workload.
-
-    The decision variable is the number of cost evaluations, ``objects x
-    representatives``, not the representative count alone: packing a handful
-    of representatives already pays off over thousands of objects (the
-    common LIMBO shape, e.g. ``k = 5`` over 10^4 tuples), while a few dozen
-    objects never amortize the pack.  ``auto`` also defers to the memory
-    governor the way :func:`use_dense` does, booking the packed
-    ``n_representatives x n_columns`` ``float64`` matrix, where
-    ``n_columns`` is the size of the representatives' shared index.
-    """
-    validate_backend(backend)
-    if backend == "sparse":
-        return False
-    if backend == "dense":
-        return True
-    if n_representatives < 2:
-        return False
-    if n_objects * n_representatives < DENSE_MIN_ASSIGN_CELLS:
-        return False
-    if governor is not None and governor.would_exceed(
-        8 * n_representatives * n_columns
-    ):
-        return False
-    return True
-
-
 def _quantize(losses: np.ndarray) -> np.ndarray:
     """Vectorized twin of :func:`repro.clustering.dcf.quantize_loss`.
 
@@ -206,6 +167,14 @@ def _xlogx(values: np.ndarray) -> np.ndarray:
     out = np.zeros_like(values)
     positive = values > 0.0
     np.log(values, out=out, where=positive)
+    out *= values
+    return out
+
+
+def _xlogx_positive(values: np.ndarray) -> np.ndarray:
+    """``x ln x`` of a strictly positive array: :func:`_xlogx` without the
+    zero mask, which costs the postings kernel two extra passes."""
+    out = np.log(values)
     out *= values
     return out
 
@@ -275,188 +244,53 @@ def _gather_row(lut: np.ndarray, columns: np.ndarray, values: np.ndarray,
     return True
 
 
-def _gather_columns(index: dict, mass) -> tuple[list, np.ndarray]:
-    """Positions and values of a sparse mass dict under a column index.
-
-    Columns absent from the index are dropped: their ``m ln m`` contribution
-    to ``S_merged`` cancels against ``S_query`` exactly, so they never affect
-    the cost (disjoint-support columns are free).
-    """
-    columns: list = []
-    values: list = []
-    get = index.get
-    for key, m in mass.items():
-        if m <= 0.0:
-            continue
-        position = get(key)
-        if position is not None:
-            columns.append(position)
-            values.append(m)
-    return columns, np.asarray(values, dtype=np.float64)
-
-
-class DenseDCFSet:
-    """A packed, read-only view of a fixed collection of DCFs.
-
-    Attributes
-    ----------
-    index:
-        ``{column key: matrix column}`` shared by all rows.
-    matrix:
-        ``(n, d)`` float64 joint masses; row ``r`` is ``dcfs[r]``.
-    weights:
-        ``(n,)`` cluster priors ``p(c)``.
-    wlogw:
-        Cached ``w ln w`` per row -- computed once at pack time, never per
-        query.
-    """
-
-    __slots__ = ("index", "matrix", "weights", "wlogw")
-
-    def __init__(self, index: dict, matrix: np.ndarray, weights: np.ndarray):
-        self.index = index
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.wlogw = _xlogx(self.weights)
-
-    @classmethod
-    def pack(cls, dcfs, index: dict | None = None) -> "DenseDCFSet":
-        """Pack a DCF collection over a shared (or provided) column index.
-
-        Rows gather through each DCF's sorted column arrays and an int
-        lookup table where the keys allow it; columns absent from the index
-        are dropped (their contribution cancels, see ``_gather_columns``).
-        """
-        global _pack_seconds
-        started = time.perf_counter()
-        dcfs = list(dcfs)
-        if not dcfs:
-            raise ValueError("cannot pack zero DCFs")
-        if index is None:
-            index = shared_index(dcfs)
-        matrix = np.zeros((len(dcfs), len(index)), dtype=np.float64)
-        weights = np.empty(len(dcfs), dtype=np.float64)
-        lut = _index_lookup(index)
-        for r, dcf in enumerate(dcfs):
-            weights[r] = dcf.weight
-            row = matrix[r]
-            arrays = dcf.arrays() if lut is not None else None
-            if arrays is not None:
-                columns, values = arrays
-                if _gather_row(lut, columns, values, row):
-                    continue
-                if lut.size:
-                    # Some column is outside the index: drop just those.
-                    keep = (columns >= 0) & (columns < lut.size)
-                    positions = lut[np.where(keep, columns, 0)]
-                    keep &= positions >= 0
-                    row[positions[keep]] = values[keep]
-                continue
-            for key, m in dcf.mass.items():
-                position = index.get(key)
-                if position is not None:
-                    row[position] = m
-        packed = cls(index, matrix, weights)
-        _pack_seconds += time.perf_counter() - started
-        return packed
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-
-def merge_cost_many(dense: DenseDCFSet, mass, weight: float) -> np.ndarray:
-    """``delta_I`` (bits) of merging one DCF into every row of ``dense``.
-
-    ``mass`` is the query's sparse joint-mass mapping
-    ``{column: p(c) p(t|c)}`` and ``weight`` its prior.  Runs in
-    ``O(n * |supp(query)|)`` vectorized element operations.
-    """
-    columns, values = _gather_columns(dense.index, mass)
-    base = _xlogx(dense.weights + weight) - dense.wlogw - _xlogx_scalar(weight)
-    if columns:
-        sub = dense.matrix[:, columns]
-        base += _xlogx(values).sum()
-        base += (_xlogx(sub) - _xlogx(sub + values)).sum(axis=1)
-    return _quantize(np.maximum(base / _LOG2, 0.0))
-
-
-def assign_many(dense: DenseDCFSet, rows, priors) -> list[int] | None:
-    """Closest packed row per object, for one block of Phase-3 objects.
-
-    ``rows`` are sparse conditionals ``p(T|v)`` and ``priors`` the matching
-    ``p(v)``; the block is flattened into one CSR-style gather so the whole
-    chunk costs a handful of NumPy calls instead of per-object dispatch.
-    Returns ``None`` when the block cannot be packed (non-int column keys,
-    an empty row, or an index without a lookup table) -- the caller then
-    runs the per-object :func:`merge_cost_many` path, which handles every
-    case.  Ties resolve to the lowest representative index and every loss
-    passes the shared quantization grid, so assignments are identical to
-    the per-object path's.
-    """
-    lut = _index_lookup(dense.index)
-    if lut is None or lut.size == 0:
-        return None
-    columns: list = []
-    values: list = []
-    indptr = np.empty(len(rows) + 1, dtype=np.int64)
-    indptr[0] = 0
-    for i, (row, prior) in enumerate(zip(rows, priors)):
-        if prior <= 0.0:
-            raise ValueError("cluster prior must be positive")
-        before = len(columns)
-        for key, p in row.items():
-            if p > 0.0:
-                columns.append(key)
-                values.append(prior * p)
-        if len(columns) == before:
-            return None  # empty row: np.add.reduceat cannot segment it
-        indptr[i + 1] = len(columns)
-    try:
-        column_array = np.array(columns, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    value_array = np.array(values, dtype=np.float64)
-
-    # Columns outside the packed index contribute exactly zero
-    # (xlogx(g) - xlogx(g + 0) = 0), so misses gather column 0 with value 0.
-    inside = (column_array >= 0) & (column_array < lut.size)
-    positions = lut[np.where(inside, column_array, 0)]
-    np.putmask(positions, ~inside, -1)
-    misses = positions < 0
-    if misses.any():
-        positions[misses] = 0
-        value_array[misses] = 0.0
-
-    gathered = dense.matrix[:, positions]  # (k, nnz)
-    tail = _xlogx(gathered)
-    tail -= _xlogx(gathered + value_array)
-    starts = indptr[:-1]
-    per_object = np.add.reduceat(tail, starts, axis=1)  # (k, n)
-    per_object += np.add.reduceat(_xlogx(value_array), starts)
-    prior_array = np.asarray(priors, dtype=np.float64)
-    costs = (
-        _xlogx(dense.weights[:, None] + prior_array[None, :])
-        - dense.wlogw[:, None]
-        - _xlogx(prior_array)[None, :]
-        + per_object
-    ) / _LOG2
-    np.maximum(costs, 0.0, out=costs)
-    costs = _quantize(costs)
-    return np.argmin(costs, axis=0).tolist()
-
-
 #: The posting of a column no row carries yet (never written to).
 _NO_POSTING = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
+#: Relative slack of :func:`_closest_rows`' candidate window: a loss that
+#: snaps to the same grid point as the row minimum lies within 1.5 grid
+#: steps of it, at most ``0.75 * 2**-28`` of the minimum.
+_NEAR_MINIMUM = 1.0 + 2.0 ** -28
+
+
+def _closest_rows(costs: np.ndarray) -> np.ndarray:
+    """Per query, the lowest row with the minimum snapped loss.
+
+    ``costs`` is a ``(queries, rows)`` array of losses in nats, consumed in
+    place.  The answer is ``argmin(_quantize(max(costs / ln 2, 0)))`` per
+    query, but only the cells within :data:`_NEAR_MINIMUM` (plus
+    :data:`LOSS_FLOOR`) of the query's raw minimum are snapped: the grid is
+    monotone, so no other cell can snap to the minimum's grid point.
+    """
+    costs /= _LOG2
+    np.maximum(costs, 0.0, out=costs)
+    best = costs.min(axis=1, keepdims=True)
+    near = costs <= best * _NEAR_MINIMUM + LOSS_FLOOR
+    snapped = np.full(costs.shape, np.inf)
+    snapped[near] = _quantize(costs[near])
+    return snapped.argmin(axis=1)
+
+
+def postings_bytes(dcfs, block: int) -> int:
+    """Byte estimate of a :class:`PostingsDCFSet` over ``dcfs`` plus the
+    scratch of one :meth:`PostingsDCFSet.closest_many` block of ``block``
+    objects (about three ``float64`` cells per object and row).  Used for
+    the memory governor's cooperative refusal, like :func:`dense_bytes`.
+    """
+    nonzeros = sum(len(dcf.mass) for dcf in dcfs)
+    return 16 * nonzeros + (16 + 24 * block) * len(dcfs)
+
 
 class PostingsDCFSet:
-    """A column-major sparse store of a growing DCF collection.
+    """A column-major sparse store of a DCF collection: the Phase-3 kernel.
 
-    The serving twin of :class:`DenseDCFSet`.  For every column key it keeps
-    a *posting*: the ascending ``int64`` rows that carry mass there and
-    those masses.  Memory is O(non-zeros), and a row absorbs an object with
-    a column no row has seen by opening one new posting, where a dense
-    matrix would grow a whole column.
+    For every column key it keeps a *posting*: the ascending ``int64`` rows
+    that carry mass there and those masses.  Memory is O(non-zeros), and a
+    row absorbs an object with a column no row has seen by opening one new
+    posting, where a dense matrix would grow a whole column.  LIMBO's batch
+    association (:func:`repro.clustering.limbo.assign_rows`) asks
+    :meth:`closest_many` for blocks of objects; the daemon's assigner asks
+    :meth:`closest` for one row at a time, then :meth:`absorb` merges it.
 
     Attributes
     ----------
@@ -471,22 +305,31 @@ class PostingsDCFSet:
     __slots__ = ("postings", "weights", "wlogw")
 
     def __init__(self, dcfs):
+        global _pack_seconds
+        started = time.perf_counter()
         dcfs = list(dcfs)
         if not dcfs:
             raise ValueError("cannot pack zero DCFs")
-        columns: dict = {}
-        for r, dcf in enumerate(dcfs):
-            for key, m in dcf.mass.items():
-                rows, masses = columns.setdefault(key, ([], []))
-                rows.append(r)
-                masses.append(m)
+        # Number the keys in first-seen order, then one stable sort groups
+        # the (row, mass) pairs by key with rows ascending; each posting is
+        # a view into the two sorted arrays.
+        ids: dict = {}
+        codes = [ids.setdefault(key, len(ids))
+                 for dcf in dcfs for key in dcf.mass]
+        order = np.argsort(codes, kind="stable")
+        sizes = [len(dcf.mass) for dcf in dcfs]
+        rows = np.repeat(np.arange(len(dcfs)), sizes)[order]
+        masses = np.fromiter((m for dcf in dcfs for m in dcf.mass.values()),
+                             dtype=np.float64, count=len(codes))[order]
+        counts = np.bincount(codes, minlength=len(ids))
+        bounds = [0] + np.cumsum(counts).tolist()
         self.postings = {
-            key: (np.array(rows, dtype=np.int64),
-                  np.array(masses, dtype=np.float64))
-            for key, (rows, masses) in columns.items()
+            key: (rows[start:stop], masses[start:stop])
+            for key, start, stop in zip(ids, bounds, bounds[1:])
         }
         self.weights = np.array([dcf.weight for dcf in dcfs], dtype=np.float64)
         self.wlogw = _xlogx(self.weights)
+        _pack_seconds += time.perf_counter() - started
 
     def __len__(self) -> int:
         return self.weights.size
@@ -501,18 +344,66 @@ class PostingsDCFSet:
         are snapped to the shared grid and ties go to the lowest row, as in
         :func:`repro.clustering.dcf.closest`.
         """
-        costs = (_xlogx(self.weights + weight) - self.wlogw
-                 - _xlogx_scalar(weight))
-        hits = [(self.postings[key], v) for key, v in mass.items()
-                if key in self.postings]
-        if hits:
-            rows = np.concatenate([posting[0] for posting, _ in hits])
-            masses = np.concatenate([posting[1] for posting, _ in hits])
-            values = np.repeat([v for _, v in hits],
-                               [posting[0].size for posting, _ in hits])
-            terms = _xlogx(masses) + _xlogx(values) - _xlogx(masses + values)
-            costs += np.bincount(rows, weights=terms, minlength=costs.size)
-        return int(np.argmin(_quantize(np.maximum(costs / _LOG2, 0.0))))
+        costs = (_xlogx_positive(self.weights + weight) - self.wlogw
+                 - _xlogx_scalar(weight))[None, :]
+        self._add_hits(costs, [mass], np.ones(1))
+        return int(_closest_rows(costs)[0])
+
+    def closest_many(self, rows, priors) -> list[int]:
+        """:meth:`closest` for a block of objects, in one pass.
+
+        ``rows`` are sparse conditionals ``p(T|v)`` and ``priors`` the
+        matching ``p(v)``; an object's masses are ``p(v) p(t|v)`` over its
+        positive entries, as :class:`repro.clustering.dcf.DCF` builds them.
+        Every cost is the float :meth:`closest` computes for that object, so
+        the answers are the same.
+        """
+        weights = np.asarray(priors, dtype=np.float64)
+        if (weights <= 0.0).any():
+            raise ValueError("cluster prior must be positive")
+        # Tuple priors are all 1/n: cost each distinct prior's row once.
+        unique, inverse = np.unique(weights, return_inverse=True)
+        base = _xlogx_positive(self.weights + unique[:, None]) - self.wlogw
+        base -= np.array([_xlogx_scalar(w) for w in unique.tolist()])[:, None]
+        costs = base[inverse]
+        self._add_hits(costs, rows, weights)
+        return _closest_rows(costs).tolist()
+
+    def _add_hits(self, costs: np.ndarray, rows, scales: np.ndarray) -> None:
+        """Add every query's hit terms to its ``costs`` row in place.
+
+        Query ``i`` has mass ``scales[i] * p`` at each column of ``rows[i]``
+        with ``p > 0``.  The postings of its columns are gathered into one
+        ragged run, and one ``np.bincount`` adds the terms of all queries.
+        """
+        postings = self.postings
+        hits = [(posting, p, i) for i, row in enumerate(rows)
+                for key, p in row.items()
+                if p > 0.0 and (posting := postings.get(key)) is not None]
+        if not hits:
+            return
+        held, values, owners = zip(*hits)
+        held_rows, held_masses = zip(*held)
+        lengths = np.fromiter(map(len, held_rows), dtype=np.intp,
+                              count=len(held_rows))
+        owners = np.array(owners)
+        values = np.array(values) * scales[owners]
+        positions = np.concatenate(held_rows)
+        positions += np.repeat(owners * costs.shape[1], lengths)
+        # One allocation for the term-sized scratch: fewer, larger
+        # temporaries keep the allocator from returning (and re-faulting)
+        # the pages between blocks.
+        masses, merged, terms = np.empty((3, positions.size))
+        np.concatenate(held_masses, out=masses)
+        np.log(masses, out=terms)
+        terms *= masses
+        terms += np.repeat(_xlogx_positive(values), lengths)
+        masses += np.repeat(values, lengths)
+        np.log(masses, out=merged)
+        merged *= masses
+        terms -= merged
+        costs += np.bincount(positions, weights=terms,
+                             minlength=costs.size).reshape(costs.shape)
 
     def absorb(self, row: int, mass, weight: float) -> None:
         """Merge a query into ``row`` in place (Equations 1-2)."""

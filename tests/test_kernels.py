@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.clustering import DCF, aib, merge, merge_cost
-from repro.clustering.dcf import LOSS_QUANTUM_BITS, quantize_loss
+from repro.clustering.dcf import LOSS_QUANTUM_BITS, closest, quantize_loss
 
 TOL = 1e-9
 
@@ -108,43 +108,53 @@ class TestSharedIndex:
 
 
 class TestMergeCostMany:
+    """The postings kernel's merge costs of one query against many rows,
+    checked through the row it picks against the scalar oracle."""
+
+    @staticmethod
+    def scalar_closest(dcfs, query):
+        return closest(dcfs, query)[0]
+
     def test_matches_sparse_oracle(self):
         dcfs = random_dcfs(20, 12, seed=1)
-        packed = kernels.DenseDCFSet.pack(dcfs)
-        query = random_dcfs(1, 12, seed=2)[0]
-        costs = kernels.merge_cost_many(packed, query.mass, query.weight)
-        for r, dcf in enumerate(dcfs):
-            assert costs[r] == pytest.approx(merge_cost(dcf, query), abs=TOL)
+        postings = kernels.PostingsDCFSet(dcfs)
+        for query in random_dcfs(30, 12, seed=2):
+            chosen = postings.closest(query.mass, query.weight)
+            assert chosen == self.scalar_closest(dcfs, query)
 
     def test_disjoint_supports(self):
-        left = DCF(0.4, {0: 0.5, 1: 0.5})
-        right = DCF(0.6, {2: 1.0})
-        packed = kernels.DenseDCFSet.pack([left])
-        costs = kernels.merge_cost_many(packed, right.mass, right.weight)
-        assert costs[0] == pytest.approx(merge_cost(left, right), abs=TOL)
+        dcfs = [DCF(0.4, {0: 0.5, 1: 0.5}), DCF(0.1, {1: 1.0})]
+        query = DCF(0.6, {2: 1.0})
+        postings = kernels.PostingsDCFSet(dcfs)
+        assert postings.closest(query.mass, query.weight) == \
+            self.scalar_closest(dcfs, query) == 1
 
     def test_zero_mass_columns_ignored(self):
-        left = DCF(0.5, {0: 1.0})
-        packed = kernels.DenseDCFSet.pack([left])
-        with_zero = kernels.merge_cost_many(packed, {0: 0.25, 1: 0.0}, 0.25)
-        without = kernels.merge_cost_many(packed, {0: 0.25}, 0.25)
-        assert with_zero[0] == without[0]
+        postings = kernels.PostingsDCFSet(random_dcfs(6, 4, seed=3))
+        rows = [{0: 0.5, 1: 0.5}, {2: 1.0}]
+        padded = [{**row, 3: 0.0, 99: 0.0} for row in rows]
+        assert postings.closest_many(padded, [0.25, 0.25]) == \
+            postings.closest_many(rows, [0.25, 0.25])
 
     def test_query_columns_outside_index_cancel(self):
-        # Columns the packed set never saw cancel between S_merged and
-        # S_query; the kernel must agree with the sparse cost that sees them.
-        left = DCF(0.5, {0: 1.0})
-        right = DCF(0.5, {0: 0.5, 9: 0.5})
-        packed = kernels.DenseDCFSet.pack([left])
-        assert 9 not in packed.index
-        costs = kernels.merge_cost_many(packed, right.mass, right.weight)
-        assert costs[0] == pytest.approx(merge_cost(left, right), abs=TOL)
+        # Columns no row carries cancel between S_merged and S_query; the
+        # kernel must agree with the sparse cost that sees them.
+        dcfs = [DCF(0.5, {0: 1.0}), DCF(0.3, {1: 1.0})]
+        query = DCF(0.5, {0: 0.5, 9: 0.5})
+        postings = kernels.PostingsDCFSet(dcfs)
+        assert 9 not in postings.postings
+        assert postings.closest(query.mass, query.weight) == \
+            self.scalar_closest(dcfs, query) == 0
 
     def test_identical_rows_cost_zero(self):
-        dcf = DCF(0.5, {0: 0.25, 1: 0.75})
-        packed = kernels.DenseDCFSet.pack([dcf])
-        costs = kernels.merge_cost_many(packed, dcf.mass, dcf.weight)
-        assert costs[0] == pytest.approx(0.0, abs=TOL)
+        dcfs = random_dcfs(5, 6, seed=4)
+        postings = kernels.PostingsDCFSet(dcfs)
+        for r, dcf in enumerate(dcfs):
+            # Row r costs zero; an earlier row of the same p(T|c) ties it.
+            chosen = postings.closest(dcf.mass, dcf.weight)
+            assert chosen <= r
+            assert merge_cost(dcfs[chosen], dcf) == merge_cost(dcf, dcf) == 0.0
+            assert chosen == self.scalar_closest(dcfs, dcf)
 
 
 class TestDenseMergeEngine:
@@ -300,133 +310,211 @@ class TestAutoHeuristic:
         blown = kernels.DENSE_MAX_CELLS  # 2 * n * n_columns over the cap
         assert kernels.use_dense("auto", 9, n_columns=blown) is False
 
-    def test_assign_small_end_stays_sparse(self):
-        # k=5 over 64 objects = 320 cells: sparse measured faster (~0.8x).
-        assert kernels.use_dense_assign("auto", 5, 64, 13) is False
+    @staticmethod
+    def postings_builds(monkeypatch):
+        built = []
 
-    def test_assign_large_end_goes_dense(self):
-        # k=5 over 8000 objects: dense measured ~3x faster.
-        assert kernels.use_dense_assign("auto", 5, 8000, 13) is True
+        class Recording(kernels.PostingsDCFSet):
+            def __init__(self, dcfs):
+                super().__init__(dcfs)
+                built.append(len(self))
 
-    def test_assign_threshold_is_cells_not_reps(self):
-        cells = kernels.DENSE_MIN_ASSIGN_CELLS
-        assert kernels.use_dense_assign("auto", 4, cells // 4, 13) is True
-        assert kernels.use_dense_assign("auto", 4, cells // 4 - 1, 13) is False
+        monkeypatch.setattr(kernels, "PostingsDCFSet", Recording)
+        return built
 
-    def test_assign_explicit_values_honored(self):
-        assert kernels.use_dense_assign("sparse", 100, 10_000, 13) is False
-        assert kernels.use_dense_assign("dense", 2, 4, 13) is True
+    def test_assign_explicit_values_honored(self, monkeypatch):
+        from repro.clustering.limbo import assign_rows
 
-    def test_assign_rejects_singleton_rep_set(self):
-        assert kernels.use_dense_assign("auto", 1, 1_000_000, 13) is False
+        reps = random_dcfs(4, 6, seed=5)
+        rows = [o.conditional for o in random_dcfs(10, 6, seed=6)]
+        built = self.postings_builds(monkeypatch)
+        sparse = assign_rows(reps, rows, [0.1] * 10, "sparse")
+        assert built == []
+        assert assign_rows(reps, rows, [0.1] * 10, "dense") == sparse
+        assert built == [4]
 
-    def test_assign_defers_to_memory_governor(self):
+    def test_assign_defers_to_memory_governor(self, monkeypatch):
+        from repro.clustering.limbo import assign_rows
+
         class Refusing:
             def would_exceed(self, n_bytes):
                 return True
 
-        assert kernels.use_dense_assign("auto", 5, 8000, 13,
-                                        governor=Refusing()) \
-            is False
+        class Budget:
+            memory = Refusing()
+
+            def checkpoint(self, units=1, where=""):
+                pass
+
+        reps = random_dcfs(5, 6, seed=7)
+        rows = [o.conditional for o in random_dcfs(10, 6, seed=8)]
+        built = self.postings_builds(monkeypatch)
+        for backend in ("auto", "dense"):
+            assign_rows(reps, rows, [0.1] * 10, backend, budget=Budget())
+        assert built == []
 
 
 class TestAssignMany:
-    def packed_and_rows(self, n_reps=6, n_columns=20, n_rows=40, seed=31):
+    """:meth:`PostingsDCFSet.closest_many`, the batched Phase-3 assignment."""
+
+    def postings_and_rows(self, n_reps=6, n_columns=20, n_rows=40, seed=31):
         reps = random_dcfs(n_reps, n_columns, seed=seed)
-        packed = kernels.DenseDCFSet.pack(reps)
+        postings = kernels.PostingsDCFSet(reps)
         objects = random_dcfs(n_rows, n_columns, seed=seed + 1, density=0.3)
         rows = [o.conditional for o in objects]
         priors = [o.weight for o in objects]
-        return reps, packed, rows, priors
+        return reps, postings, rows, priors
 
-    def assignment_oracle(self, packed, rows, priors):
-        out = []
-        for row, prior in zip(rows, priors):
-            mass = {k: prior * p for k, p in row.items() if p > 0.0}
-            costs = kernels.merge_cost_many(packed, mass, prior)
-            out.append(int(costs.argmin()))
-        return out
+    @staticmethod
+    def per_object(postings, rows, priors):
+        return [postings.closest(DCF(prior, row).mass, prior)
+                for row, prior in zip(rows, priors)]
 
     def test_matches_per_object_kernel(self):
-        _, packed, rows, priors = self.packed_and_rows()
-        block = kernels.assign_many(packed, rows, priors)
-        assert block == self.assignment_oracle(packed, rows, priors)
+        reps, postings, rows, priors = self.postings_and_rows()
+        block = postings.closest_many(rows, priors)
+        assert block == self.per_object(postings, rows, priors)
+        assert block == [closest(reps, DCF(prior, row))[0]
+                         for row, prior in zip(rows, priors)]
 
     def test_rows_with_unseen_columns(self):
-        _, packed, rows, priors = self.packed_and_rows(seed=32)
+        _, postings, rows, priors = self.postings_and_rows(seed=32)
         rows = [dict(row) for row in rows]
         for i, row in enumerate(rows):
             row[10_000 + i] = 0.5  # mass on a column no representative has
-        block = kernels.assign_many(packed, rows, priors)
-        assert block == self.assignment_oracle(packed, rows, priors)
+        assert postings.closest_many(rows, priors) == \
+            self.per_object(postings, rows, priors)
 
     def test_zero_mass_entries_dropped(self):
-        _, packed, rows, priors = self.packed_and_rows(seed=33)
+        _, postings, rows, priors = self.postings_and_rows(seed=33)
         padded = [{**row, 999: 0.0} for row in rows]
-        assert kernels.assign_many(packed, padded, priors) == \
-            kernels.assign_many(packed, rows, priors)
+        assert postings.closest_many(padded, priors) == \
+            postings.closest_many(rows, priors)
 
-    def test_empty_row_defers_to_caller(self):
-        _, packed, rows, priors = self.packed_and_rows(seed=34)
-        rows[3] = {}
-        assert kernels.assign_many(packed, rows, priors) is None
+    def test_empty_rows_cost_only_the_priors(self):
+        # An empty row (or one of unseen columns only) hits no posting: its
+        # cost is the prior term alone, lowest for the lightest row.
+        reps = [DCF(0.5, {0: 1.0}), DCF(0.2, {1: 1.0}), DCF(0.3, {2: 1.0})]
+        postings = kernels.PostingsDCFSet(reps)
+        rows = [{}, {9: 1.0}, {0: 1.0}]
+        assert postings.closest_many(rows, [0.1, 0.1, 0.1]) == [1, 1, 0]
+        assert postings.closest_many(rows, [0.1] * 3) == [
+            closest(reps, DCF(0.1, row))[0] for row in rows]
 
-    def test_non_int_columns_defer_to_caller(self):
-        reps = [DCF(0.5, {"a": 1.0}), DCF(0.5, {"b": 1.0})]
-        packed = kernels.DenseDCFSet.pack(reps)
-        assert kernels.assign_many(packed, [{"a": 1.0}], [0.1]) is None
+    def test_non_int_columns_are_served(self):
+        reps = [DCF(0.5, {"a": 1.0}), DCF(0.5, {"b": 0.5, ("c", 1): 0.5})]
+        postings = kernels.PostingsDCFSet(reps)
+        rows = [{"a": 1.0}, {("c", 1): 1.0}, {"b": 0.5, "z": 0.5}]
+        assert postings.closest_many(rows, [0.1] * 3) == [0, 1, 1]
 
     def test_nonpositive_prior_raises(self):
-        _, packed, rows, priors = self.packed_and_rows(seed=35)
-        priors[0] = 0.0
-        with pytest.raises(ValueError, match="prior must be positive"):
-            kernels.assign_many(packed, rows, priors)
+        _, postings, rows, priors = self.postings_and_rows(seed=35)
+        for bad in (0.0, -0.1):
+            priors[3] = bad
+            with pytest.raises(ValueError, match="prior must be positive"):
+                postings.closest_many(rows, priors)
 
     def test_tie_breaks_to_lowest_representative(self):
         rep = DCF(0.5, {0: 0.5, 1: 0.5})
-        packed = kernels.DenseDCFSet.pack([rep, rep.copy(), rep.copy()])
-        block = kernels.assign_many(packed, [{0: 0.5, 1: 0.5}], [0.1])
-        assert block == [0]
+        postings = kernels.PostingsDCFSet([rep, rep.copy(), rep.copy()])
+        assert postings.closest_many([{0: 0.5, 1: 0.5}] * 2, [0.1, 0.2]) == [0, 0]
+
+    def test_grid_ties_go_to_the_lowest_index(self):
+        # Row 1's raw loss is an ulp below row 0's and both snap to the same
+        # grid point: row 0 wins, as quantize-then-argmin would pick it.
+        nats = 0.3
+        lower = math.nextafter(nats, 0.0)
+        bits, lower_bits = nats / math.log(2.0), lower / math.log(2.0)
+        assert lower_bits < bits
+        assert quantize_loss(lower_bits) == quantize_loss(bits)
+        costs = np.array([[nats, lower, 1.0]])
+        assert kernels.dense._closest_rows(costs).tolist() == [0]
+
+    def test_grid_ties_across_a_binade(self):
+        # 1 - 2**-33 rounds up to the grid point 1.0, and 1 + 2**-31 rounds
+        # down to it from the next binade: the window must hold both.
+        above, below = 1.0 + 2.0 ** -31, 1.0 - 2.0 ** -33
+        assert quantize_loss(above) == quantize_loss(below) == 1.0
+        costs = np.array([[2.0, above, below]]) * math.log(2.0)
+        assert kernels.dense._closest_rows(costs).tolist() == [1]
 
 
-def conditionals(n_columns):
-    """Sparse conditionals over ``n_columns`` columns (non-empty)."""
-    return st.dictionaries(st.integers(0, n_columns - 1),
-                           st.floats(0.01, 1.0), min_size=1, max_size=4)
+def conditionals(keys, min_size=1):
+    """Sparse conditionals over ``keys`` (non-empty by default)."""
+    return st.dictionaries(keys, st.floats(0.01, 1.0), min_size=min_size,
+                           max_size=4)
+
+
+def mixed_key(column):
+    """Odd columns as ints, even ones as strings."""
+    return column if column % 2 else f"k{column}"
 
 
 @st.composite
 def postings_cases(draw):
-    """A small DCF set plus a sequence of queries, each absorbed or not.
+    """A small DCF set plus blocks of queries, each block absorbed or not.
 
-    Queries may name up to three columns no DCF in the set carries, so
-    absorbs open new postings.
+    Column keys are ints, strings or a mix, and some representatives may be
+    copies of others.  Queries may name up to three columns no DCF in the
+    set carries (so absorbs open new postings), carry zero-mass entries,
+    or be empty.
     """
     n_columns = draw(st.integers(1, 5))
-    dcfs = [DCF(draw(st.floats(0.01, 1.0)), draw(conditionals(n_columns)))
+    spell = draw(st.sampled_from([int, str, mixed_key]))
+    dcfs = [DCF(draw(st.floats(0.01, 1.0)),
+                draw(conditionals(st.integers(0, n_columns - 1).map(spell))))
             for _ in range(draw(st.integers(1, 6)))]
-    queries = draw(st.lists(
-        st.tuples(st.floats(0.001, 0.5), conditionals(n_columns + 3),
+    dcfs += [dcfs[i].copy() for i in draw(
+        st.lists(st.integers(0, len(dcfs) - 1), max_size=2))]
+    query = st.dictionaries(st.integers(0, n_columns + 2).map(spell),
+                            st.just(0.0) | st.floats(0.01, 1.0), max_size=4)
+    blocks = draw(st.lists(
+        st.tuples(st.lists(st.tuples(st.floats(0.001, 0.5), query),
+                           min_size=1, max_size=4),
                   st.booleans()),
-        min_size=1, max_size=8))
-    return dcfs, queries
+        min_size=1, max_size=4))
+    return dcfs, blocks
 
 
 class TestPostingsDCFSet:
+    @staticmethod
+    def absorb_all(postings, dcfs, queries, chosen):
+        for query, row in zip(queries, chosen):
+            postings.absorb(row, query.mass, query.weight)
+            dcfs[row].absorb(query)
+
+    @staticmethod
+    def assert_scalar_minimum(dcfs, query, chosen):
+        best = min(merge_cost(dcf, query) for dcf in dcfs)
+        assert merge_cost(dcfs[chosen], query) == pytest.approx(best, abs=TOL)
+
     @given(postings_cases())
     def test_closest_is_a_scalar_minimum_across_absorbs(self, case):
-        dcfs, queries = case
+        dcfs, blocks = case
         postings = kernels.PostingsDCFSet(dcfs)
-        for weight, conditional, absorb in queries:
-            query = DCF(weight, conditional)
-            chosen = postings.closest(query.mass, query.weight)
-            best = min(merge_cost(dcf, query) for dcf in dcfs)
-            assert merge_cost(dcfs[chosen], query) == pytest.approx(
-                best, abs=TOL)
+        for block, absorb in blocks:
+            queries = [DCF(weight, row) for weight, row in block]
+            chosen = [postings.closest(q.mass, q.weight) for q in queries]
+            for query, row in zip(queries, chosen):
+                self.assert_scalar_minimum(dcfs, query, row)
             if absorb:
-                postings.absorb(chosen, query.mass, query.weight)
-                dcfs[chosen].absorb(query)
+                self.absorb_all(postings, dcfs, queries, chosen)
         assert list(postings.weights) == [dcf.weight for dcf in dcfs]
+
+    @given(postings_cases())
+    def test_closest_many_matches_closest_across_absorbs(self, case):
+        dcfs, blocks = case
+        postings = kernels.PostingsDCFSet(dcfs)
+        for block, absorb in blocks:
+            priors = [weight for weight, _ in block]
+            chosen = postings.closest_many([row for _, row in block], priors)
+            queries = [DCF(weight, row) for weight, row in block]
+            assert chosen == [postings.closest(q.mass, q.weight)
+                              for q in queries]
+            for query, row in zip(queries, chosen):
+                self.assert_scalar_minimum(dcfs, query, row)
+            if absorb:
+                self.absorb_all(postings, dcfs, queries, chosen)
 
     def test_postings_hold_the_dcf_masses(self):
         dcfs = [DCF(0.5, {0: 0.5, 2: 0.5}), DCF(0.5, {2: 1.0})]
@@ -467,7 +555,7 @@ class TestPackAccounting:
         kernels.reset_pack_seconds()
         assert kernels.pack_seconds() == 0.0
         dcfs = random_dcfs(50, 40, seed=41)
-        kernels.DenseDCFSet.pack(dcfs)
+        kernels.PostingsDCFSet(dcfs)
         after_pack = kernels.pack_seconds()
         assert after_pack > 0.0
         kernels.DenseMergeEngine(dcfs)

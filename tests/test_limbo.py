@@ -256,8 +256,8 @@ class TestAssignCheckpointCadence:
 
 
 class TestPhaseThreeGovernor:
-    """Phase 3's cooperative memory check books the packed matrix, whose
-    size grows with the representatives' column count."""
+    """Phase 3's cooperative memory check books the representatives'
+    postings plus one block's scratch, which grows with their count."""
 
     N_REPS, N_COLUMNS = 2000, 2084
 
@@ -266,7 +266,7 @@ class TestPhaseThreeGovernor:
         from repro.clustering import DCF
 
         # Representative r covers columns r and N_REPS + r % 84, so the
-        # shared index spans all 2,084 columns.
+        # representatives span all 2,084 columns.
         spill = cls.N_COLUMNS - cls.N_REPS
         return [
             DCF(1.0 / cls.N_REPS, {r: 0.5, cls.N_REPS + r % spill: 0.5})
@@ -274,31 +274,30 @@ class TestPhaseThreeGovernor:
         ]
 
     @staticmethod
-    def packs(monkeypatch):
+    def builds(monkeypatch):
         from repro import kernels
 
-        packed = []
-        real_pack = kernels.DenseDCFSet.pack
+        built = []
 
-        def recording_pack(dcfs, index=None):
-            result = real_pack(dcfs, index=index)
-            packed.append(result.matrix.shape)
-            return result
+        class Recording(kernels.PostingsDCFSet):
+            def __init__(self, dcfs):
+                super().__init__(dcfs)
+                built.append((len(self), len(self.postings)))
 
-        monkeypatch.setattr(kernels.DenseDCFSet, "pack", recording_pack)
-        return packed
+        monkeypatch.setattr(kernels, "PostingsDCFSet", Recording)
+        return built
 
     def test_capped_run_takes_sparse_loop(self, monkeypatch):
         from repro.budget import MemoryGovernor
         from repro.clustering.limbo import assign_rows
 
         reps = self.wide_representatives()
-        packed = self.packs(monkeypatch)
+        built = self.builds(monkeypatch)
         budget = RecordingBudget()
         budget.memory = MemoryGovernor(1 << 20)
         rows = [{0: 0.5, self.N_REPS: 0.5}, {7: 1.0}]
         assignment = assign_rows(reps, rows, [0.5, 0.5], "auto", budget=budget)
-        assert packed == []
+        assert built == []
         assert assignment == [0, 7]
         assert budget.memory.reserved == 0
 
@@ -306,8 +305,34 @@ class TestPhaseThreeGovernor:
         from repro.clustering.limbo import assign_rows
 
         reps = self.wide_representatives()
-        packed = self.packs(monkeypatch)
+        built = self.builds(monkeypatch)
         rows = [{0: 0.5, self.N_REPS: 0.5}, {7: 1.0}]
         assignment = assign_rows(reps, rows, [0.5, 0.5], "auto")
-        assert packed == [(self.N_REPS, self.N_COLUMNS)]
+        assert built == [(self.N_REPS, self.N_COLUMNS)]
         assert assignment == [0, 7]
+
+
+class TestPhaseThreeMemory:
+    def test_dblp_association_peak_stays_small(self):
+        # A dense pack of these summaries peaks at about 58 MB (a 2,000 x
+        # 2,084 float64 matrix plus a reps x block-non-zeros slab); the
+        # postings kernel needs under 8.
+        import tracemalloc
+
+        from repro.clustering.limbo import assign_rows
+        from repro.datasets import dblp
+
+        view = build_tuple_view(dblp(2000, seed=1))
+        limbo = Limbo(phi=0.0).fit(
+            view.rows, view.priors,
+            mutual_information=view.mutual_information())
+        summaries = limbo.summaries
+        rows, priors = list(view.rows), list(view.priors)
+        tracemalloc.start()
+        try:
+            assignment = assign_rows(summaries, rows, priors, "auto")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(assignment) == len(rows)
+        assert peak < 16 * 2 ** 20
