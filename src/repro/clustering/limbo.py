@@ -318,28 +318,38 @@ def assign_rows(representatives, rows, priors, backend, budget=None) -> list[int
     assignment depends only on its own row.  ``backend="sparse"`` runs the
     scalar :func:`repro.clustering.dcf.closest` scan per object, the
     oracle.  ``auto`` and ``dense`` feed ``_CHECK_EVERY``-object blocks to
-    one :class:`repro.kernels.PostingsDCFSet` over the representatives,
-    unless the memory governor refuses its :func:`repro.kernels.postings_bytes`
-    estimate.  Both give the same assignments and checkpoint once per block.
+    one :class:`repro.kernels.PostingsDCFSet` over the representatives.
+    Under a memory cap, the set is built only if the governor admits its
+    :func:`repro.kernels.postings_bytes` estimate, and a block runs in it
+    only if the governor also admits the block's posting hits
+    (:meth:`repro.kernels.PostingsDCFSet.hit_bytes`); a refused block takes
+    the scalar scan.  Both give the same assignments and checkpoint once
+    per block.
     """
     reps = list(representatives)
     rows = rows if isinstance(rows, list) else list(rows)
     priors = priors if isinstance(priors, list) else list(priors)
     governor = getattr(budget, "memory", None)
-    refused = governor is not None and governor.would_exceed(
-        kernels.postings_bytes(reps, _CHECK_EVERY))
-    if backend != "sparse" and not refused:
-        assign_block = kernels.PostingsDCFSet(reps).closest_many
-    else:
-        def assign_block(block_rows, block_priors):
-            return [closest(reps, DCF(prior, row))[0]
-                    for row, prior in zip(block_rows, block_priors)]
+    if governor is not None:
+        estimate = kernels.postings_bytes(reps, _CHECK_EVERY)
+    postings = None
+    if backend != "sparse" and (
+            governor is None or not governor.would_exceed(estimate)):
+        postings = kernels.PostingsDCFSet(reps)
     assignment: list[int] = []
     for start in range(0, len(rows), _CHECK_EVERY):
         checkpoint(budget, units=_CHECK_EVERY * len(reps),
                    where="limbo.assign")
         stop = start + _CHECK_EVERY
-        assignment.extend(assign_block(rows[start:stop], priors[start:stop]))
+        block_rows, block_priors = rows[start:stop], priors[start:stop]
+        in_kernel = postings is not None and (
+            governor is None or not governor.would_exceed(
+                estimate + postings.hit_bytes(block_rows)))
+        if in_kernel:
+            assignment.extend(postings.closest_many(block_rows, block_priors))
+        else:
+            assignment.extend(closest(reps, DCF(prior, row))[0]
+                              for row, prior in zip(block_rows, block_priors))
     return assignment
 
 

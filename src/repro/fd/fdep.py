@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.budget import checkpoint
 from repro.fd.dependency import FD
-from repro.fd.partitions import partition_of
 from repro.testing.faults import fault_point
 
 #: Attributes packed into one ``int64`` agree-set word (one bit each, with
@@ -32,16 +31,16 @@ _WORD_BITS = 62
 
 
 def _signature_matrix(relation) -> np.ndarray:
-    """``(arity, n)`` ``int32`` class labels per attribute (``-1`` singleton).
+    """``(arity, n)`` ``int32`` codes, one row per attribute.
 
-    Row ``a`` is the label array of the stripped partition under attribute
-    ``a`` alone: two tuples agree on the attribute iff their labels are
-    equal *and* non-negative.
+    Row ``a`` is the relation's code column of attribute ``a``: two tuples
+    agree on the attribute iff their codes are equal.  NULL is a value with
+    its own code, so NULL agrees with NULL.
     """
-    names = relation.schema.names
-    sig = np.empty((len(names), len(relation)), dtype=np.int32)
-    for a, name in enumerate(names):
-        sig[a] = partition_of(relation, [name]).label_array
+    columns = relation.coded.columns
+    sig = np.empty((len(columns), len(relation)), dtype=np.int32)
+    for a, column in enumerate(columns):
+        sig[a] = column
     return sig
 
 
@@ -61,8 +60,7 @@ def _agree_masks_block(sig: np.ndarray, start: int, stop: int) -> set:
     )[:, None]
     masks: set = set()
     for i in range(start, stop):
-        anchor = sig[:, i : i + 1]
-        eq = (sig[:, i + 1 :] == anchor) & (anchor >= 0)
+        eq = sig[:, i + 1 :] == sig[:, i : i + 1]
         bits = (eq[:_WORD_BITS] * weights).sum(axis=0)
         if arity <= _WORD_BITS:
             masks.update(np.unique(bits).tolist())
@@ -87,12 +85,11 @@ def _masks_to_sets(masks, names) -> set[frozenset]:
 def agree_sets(relation, budget=None) -> set[frozenset]:
     """All distinct agree sets of tuple pairs.
 
-    Computed over per-attribute label arrays derived from the coded columns:
-    the scan compares tuple ``i`` against all later tuples in one vectorized
-    pass, packing the per-attribute agreements into ``int64`` bitmask words
-    (one bit per attribute, one word per 62 attributes) and deduplicating
-    masks before any frozensets are built.  The same scan serves every
-    schema width.
+    Computed over the relation's code columns: the scan compares tuple
+    ``i`` against all later tuples in one vectorized pass, packing the
+    per-attribute agreements into ``int64`` bitmask words (one bit per
+    attribute, one word per 62 attributes) and deduplicating masks before
+    any frozensets are built.  The same scan serves every schema width.
     """
     names = relation.schema.names
     n = len(relation)

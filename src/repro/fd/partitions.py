@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.relation.columns import refine
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -62,19 +64,6 @@ class Partition:
                 labels[row] = class_index
         return labels
 
-    @cached_property
-    def label_array(self) -> "np.ndarray":
-        """``labels`` as an ``int32`` NumPy array (``-1`` for singletons).
-
-        The FDEP pair scan consumes this form: equality of two rows under an
-        attribute is one vectorized compare of their labels (with the ``-1``
-        stripped-singleton rows masked out).
-        """
-        labels = np.full(self.n_rows, -1, dtype=np.int32)
-        for class_index, members in enumerate(self.classes):
-            labels[list(members)] = class_index
-        return labels
-
     def refines(self, other: "Partition") -> bool:
         """Whether every class of ``self`` lies within a class of ``other``.
 
@@ -98,9 +87,10 @@ def partition_of(relation, attributes) -> Partition:
 
     An empty attribute set yields the single all-rows class (every tuple
     agrees on nothing vacuously).  Grouping runs over the relation's coded
-    columns: equal ``X``-projections are equal code vectors, found with one
-    stable ``argsort`` over a fused per-row key instead of a per-row dict of
-    value tuples.
+    columns: equal ``X``-projections are equal code vectors, grouped by
+    refining one column at a time (:func:`repro.relation.columns.refine`)
+    and one stable ``argsort`` of the dense group ids, instead of a per-row
+    dict of value tuples.
     """
     attributes = sorted(attributes) if not isinstance(attributes, str) else [attributes]
     n = len(relation)
@@ -113,23 +103,18 @@ def partition_of(relation, attributes) -> Partition:
 
     store = relation.coded
     columns = store.columns
-    # Fuse the selected columns into one int64 group key.  Re-compressing
-    # with ``np.unique(return_inverse)`` after every pairing keeps the key
-    # dense, so ``inv * cardinality + code`` can never overflow.
-    inv = columns[positions[0]].astype(np.int64)
+    cards = store.cardinalities()
+    # Every refinement renumbers the groups densely, so the fused key
+    # ``group * cardinality + code`` can never overflow.
+    inv = columns[positions[0]]
+    sizes = np.bincount(inv, minlength=cards[positions[0]])
     for p in positions[1:]:
-        inv = inv * len(store.dictionaries[p]) + columns[p]
-        if len(positions) > 2:
-            _, inv = np.unique(inv, return_inverse=True)
+        inv, sizes = refine(inv, len(sizes), columns[p], cards[p])
+    # Group ``g`` holds the ``sizes[g]`` rows after the smaller groups'.
     order = np.argsort(inv, kind="stable")
-    fused = inv[order]
-    boundaries = np.flatnonzero(fused[1:] != fused[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [n]))
-    classes = [
-        order[s:e].tolist() for s, e in zip(starts.tolist(), ends.tolist())
-        if e - s > 1
-    ]
+    ends = np.cumsum(sizes).tolist()
+    classes = [order[start:end].tolist()
+               for start, end in zip([0] + ends[:-1], ends) if end - start > 1]
     return Partition.from_classes(classes, n)
 
 

@@ -16,10 +16,10 @@ stops near-keys (high-cardinality LHSs) from looking like dependencies,
 which is precisely the failure mode of raw ``g3``-style error on samples.
 
 Search follows Wan & Han ("Redundancy-Driven Top-k FD Discovery"): a
-set-enumeration tree per RHS over the coded int32 columns (partitions are
-fused-key ``np.unique`` passes).  A node ``X`` with tail ``T`` in the tree
-of a root whose closure (the root and its whole tail) is ``C`` is pruned
-with the admissible bound
+set-enumeration tree per RHS over the coded int32 columns (a partition is
+refined one column at a time by :func:`repro.relation.columns.refine`).
+A node ``X`` with tail ``T`` in the tree of a root whose closure (the root
+and its whole tail) is ``C`` is pruned with the admissible bound
 
     F0(X' -> Y) <= max(0, I(C; Y)/H(Y) - EMI(X; Y)/H(Y))
                                             for every X <= X' <= X u T
@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.budget import checkpoint
 from repro.fd.dependency import FD
-from repro.infotheory.entropy import entropy_of_counts
+from repro.relation.columns import TABLE_KEYS_PER_ROW, refine
 from repro.seeding import sample_indices
 from repro.testing.faults import fault_point
 
@@ -112,8 +112,8 @@ def expected_mutual_information(a_counts, b_counts, logfact=None) -> float:
     if n <= 1 or a.size <= 1 or b.size <= 1:
         return 0.0
     table = _log_factorial_table(n) if logfact is None else logfact
-    a_sizes, a_mult = np.unique(a, return_counts=True)
-    b_sizes, b_mult = np.unique(b, return_counts=True)
+    a_sizes, a_mult = _size_multiset(a)
+    b_sizes, b_mult = _size_multiset(b)
     # One flat pass over every (a_i, b_j, n_ij) triple: the per-pair n_ij
     # ranges are concatenated (repeat/cumsum segmentation), so the whole
     # expectation is a handful of large vector ops instead of ~u_a * u_b
@@ -184,10 +184,31 @@ def _canonical_entropy(counts: np.ndarray) -> float:
     float result by an ulp.  Sorting the positive counts first makes every
     entropy a pure function of the count *multiset*, which is what lets the
     cross-RHS partition memo and the per-set entropy memo stay
-    bit-identical to a memo-less pass.
+    bit-identical to a memo-less pass.  The arithmetic is
+    :func:`repro.infotheory.entropy_of_counts`'s in natural log, float for
+    float, without its coercion and validation passes.
     """
     positive = np.sort(counts[counts > 0])
-    return entropy_of_counts(positive, base=math.e)
+    total = float(positive.sum())
+    if total <= 0.0:
+        return 0.0
+    p = positive / total
+    return float(-(p * np.log(p)).sum()) + 0.0
+
+
+def _size_multiset(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct positive sizes of a non-negative int64 count
+    vector and their multiplicities, as ``np.unique(..., return_counts=True)``
+    gives them.
+
+    Read off one ``np.bincount`` of the sizes.  Its table has ``max + 1 <=
+    n + 1`` slots for counts over ``n`` rows, so it always fits the
+    :func:`repro.relation.columns.refine` rule of 8 slots per row.
+    """
+    table = np.bincount(counts)
+    table[:1] = 0
+    sizes = np.flatnonzero(table)
+    return sizes, table[sizes]
 
 
 def _size_runs(counts: np.ndarray) -> bytes:
@@ -199,18 +220,18 @@ def _size_runs(counts: np.ndarray) -> bytes:
     :func:`expected_mutual_information` depends on nothing else.  On DBLP
     2,000 a run's keys take about a tenth of the bytes of the sorted counts.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    sizes, mult = np.unique(counts[counts > 0], return_counts=True)
-    return sizes.tobytes() + mult.astype(np.int64, copy=False).tobytes()
+    sizes, mult = _size_multiset(np.asarray(counts, dtype=np.int64))
+    return sizes.tobytes() + mult.tobytes()
 
 
 class _Scorer:
     """Information quantities over one coded relation, natural-log units.
 
     Partitions are row-group inverse arrays (``inv``) plus their group
-    sizes, built by fusing int64 keys and re-compressing with ``np.unique``
-    -- the same kernel as :func:`repro.fd.partitions.partition_of`, minus
-    the stripped-class bookkeeping the lattice miners need.
+    sizes, refined one column at a time by
+    :func:`repro.relation.columns.refine` -- the same kernel as
+    :func:`repro.fd.partitions.partition_of`, minus the stripped-class
+    bookkeeping the lattice miners need.
 
     Every memo is keyed by the attribute *set* as one integer bitmask of
     schema positions (bit ``p`` set for attribute ``p``; Python ints have no
@@ -310,14 +331,6 @@ class _Scorer:
             if self._governor is not None:
                 self._governor.release(self._booked.pop(old_key, 0))
 
-    def _fuse(self, inv: np.ndarray, position: int):
-        """Refine a partition by one attribute: fuse keys, re-compress."""
-        fused = inv * self.cards[position] + self.columns[position]
-        uniques, new_inv = np.unique(fused, return_inverse=True)
-        counts = np.bincount(new_inv, minlength=len(uniques))
-        self.stats.partitions_computed += 1
-        return new_inv.astype(np.int64), counts
-
     def root(self, position: int):
         """The singleton partition of one attribute (codes are dense)."""
         if position not in self._roots_counted:
@@ -325,13 +338,18 @@ class _Scorer:
             self.stats.partitions_computed += 1
         return self.columns[position], self.marginals[position]
 
-    def extend(self, key: int, inv: np.ndarray, position: int):
-        """The partition of ``key | {position}``, via memo or one fuse."""
+    def extend(self, key: int, inv: np.ndarray, counts: np.ndarray,
+               position: int):
+        """The partition of ``key | {position}``, via memo or one
+        refinement of ``(inv, counts)`` by the attribute."""
         child_key = key | 1 << position
         hit = self._lookup(child_key)
         if hit is not None:
             return hit
-        child_inv, child_counts = self._fuse(inv, position)
+        self.stats.partitions_computed += 1
+        child_inv, child_counts = refine(inv, len(counts),
+                                         self.columns[position],
+                                         self.cards[position])
         self._remember(child_key, child_inv, child_counts)
         return child_inv, child_counts
 
@@ -353,16 +371,21 @@ class _Scorer:
         """``(I(X;Y), support)`` where support = occupied joint cells.
 
         ``H(X)`` is read under ``key`` and ``H(X u Y)`` under ``key | {y}``;
-        only a miss fuses the joint.  It is compressed with ``np.unique``
-        rather than a dense ``len(counts) * card_y`` bincount -- for a
-        near-key LHS the dense grid would be ``O(n * card_y)`` cells, the
-        compressed form never exceeds ``n``.
+        only a miss fuses the joint.  Its class sizes come from one
+        ``np.bincount`` over the ``len(counts) * card_y`` fused keys under
+        :func:`repro.relation.columns.refine`'s rule of 8 slots per row;
+        above it (a near-key LHS, whose grid would be ``O(n * card_y)``
+        cells) they come from ``np.unique``, which never exceeds ``n``.
         """
         joint_key = key | 1 << y_position
         joint = self._entropies.get(joint_key)
         if joint is None:
-            fused = inv * self.cards[y_position] + self.columns[y_position]
-            _, sizes = np.unique(fused, return_counts=True)
+            card = self.cards[y_position]
+            fused = inv * card + self.columns[y_position]
+            if len(counts) * card <= TABLE_KEYS_PER_ROW * self.n:
+                sizes = np.bincount(fused)
+            else:
+                _, sizes = np.unique(fused, return_counts=True)
             joint = self._entropy(joint_key, sizes)
         h_joint, support = joint
         h_x, _ = self._entropy(key, counts)
@@ -413,8 +436,8 @@ class _Scorer:
         self._book(len(key[0]) + len(key[1]) + 8, "fd.reliable.emi")
         self._emi_memo[key] = emi
 
-    def upper_bound(self, key: int, inv: np.ndarray, tail_positions,
-                    y_position: int):
+    def upper_bound(self, key: int, inv: np.ndarray, counts: np.ndarray,
+                    tail_positions, y_position: int):
         """The plug-in fraction ``I(X u T; Y)/H(Y)`` of the closure of
         ``key`` and its tail: the first term of :meth:`bound`.
 
@@ -430,17 +453,15 @@ class _Scorer:
             closure_key |= 1 << p
         hit = self._lookup(closure_key)
         if hit is None:
-            closure = inv
+            closure, sizes = inv, counts
             for p in tail_positions:
-                fused = closure * self.cards[p] + self.columns[p]
-                _, closure = np.unique(fused, return_inverse=True)
-                closure = closure.astype(np.int64)
-            counts = np.bincount(closure)
+                closure, sizes = refine(closure, len(sizes), self.columns[p],
+                                        self.cards[p])
             self.stats.partitions_computed += 1
-            self._remember(closure_key, closure, counts)
+            self._remember(closure_key, closure, sizes)
         else:
-            closure, counts = hit
-        mi, _ = self.information(closure_key, closure, counts, y_position)
+            closure, sizes = hit
+        mi, _ = self.information(closure_key, closure, sizes, y_position)
         return min(1.0, mi / self.h[y_position])
 
     def bound(self, closure_bound: float, key: int, counts: np.ndarray,
@@ -473,7 +494,7 @@ def _fold(scorer: _Scorer, positions) -> tuple:
     inv, counts = scorer.root(positions[0])
     key = 1 << positions[0]
     for p in positions[1:]:
-        inv, counts = scorer.extend(key, inv, p)
+        inv, counts = scorer.extend(key, inv, counts, p)
         key |= 1 << p
     return key, inv, counts
 
@@ -525,8 +546,9 @@ def specialization_upper_bound(relation, lhs, tail, rhs) -> float:
     if scorer.h[y] <= 0.0:
         return 0.0
     key, inv, counts = _fold(scorer, lhs_positions)
-    return scorer.bound(scorer.upper_bound(key, inv, tail_positions, y),
-                        key, counts, y)
+    return scorer.bound(
+        scorer.upper_bound(key, inv, counts, tail_positions, y),
+        key, counts, y)
 
 
 def confidence_radius(m: int, support: int, alpha: float, h_y: float) -> float:
@@ -675,7 +697,7 @@ def _descend(scorer: _Scorer, collector: _Collector, y: int,
         ))
         return
     for i, t in enumerate(usable_tail):
-        child_inv, child_counts = scorer.extend(key, inv, t)
+        child_inv, child_counts = scorer.extend(key, inv, counts, t)
         _descend(scorer, collector, y, chosen + (t,), key | 1 << t,
                  child_inv, child_counts, usable_tail[i + 1:], max_lhs_size,
                  tree_bound)
@@ -690,7 +712,7 @@ def _run_jobs(scorer: _Scorer, collector: _Collector, jobs,
         inv, counts = scorer.root(root)
         tail = tuple(tail)
         root_key = 1 << root
-        tree_bound = (scorer.upper_bound(root_key, inv, tail, y)
+        tree_bound = (scorer.upper_bound(root_key, inv, counts, tail, y)
                       if tail else None)
         _descend(scorer, collector, y, (root,), root_key, inv,
                  counts, tail, max_lhs_size, tree_bound)

@@ -273,9 +273,10 @@ def _closest_rows(costs: np.ndarray) -> np.ndarray:
 
 def postings_bytes(dcfs, block: int) -> int:
     """Byte estimate of a :class:`PostingsDCFSet` over ``dcfs`` plus the
-    scratch of one :meth:`PostingsDCFSet.closest_many` block of ``block``
-    objects (about three ``float64`` cells per object and row).  Used for
-    the memory governor's cooperative refusal, like :func:`dense_bytes`.
+    per-row scratch of one :meth:`PostingsDCFSet.closest_many` block of
+    ``block`` objects (about three ``float64`` cells per object and row);
+    :meth:`PostingsDCFSet.hit_bytes` adds the block's posting hits.  Used
+    for the memory governor's cooperative refusal, like :func:`dense_bytes`.
     """
     nonzeros = sum(len(dcf.mass) for dcf in dcfs)
     return 16 * nonzeros + (16 + 24 * block) * len(dcfs)
@@ -348,6 +349,17 @@ class PostingsDCFSet:
                  - _xlogx_scalar(weight))[None, :]
         self._add_hits(costs, [mass], np.ones(1))
         return int(_closest_rows(costs)[0])
+
+    def hit_bytes(self, rows) -> int:
+        """Byte estimate of the hit scratch of ``closest_many(rows, ...)``:
+        40 bytes per posting row a query column reaches (the positions and
+        their offset temporary, and the masses, merged and terms cells of
+        :meth:`_add_hits`), as tracemalloc measures it on DBLP blocks.
+        """
+        postings = self.postings
+        return 40 * sum(len(postings[key][0]) for row in rows
+                        for key, p in row.items()
+                        if p > 0.0 and key in postings)
 
     def closest_many(self, rows, priors) -> list[int]:
         """:meth:`closest` for a block of objects, in one pass.

@@ -5,11 +5,11 @@ values of the attribute get dense codes ``0, 1, 2, ...`` in first-seen order,
 and the column itself becomes a NumPy ``int32`` array of codes.  This is the
 substrate the hot paths consume directly:
 
-* TANE stripped partitions group rows by ``np.argsort``/``np.unique`` over
-  code columns instead of hashing value tuples per row;
+* partitions refine a row grouping one code column at a time
+  (:func:`refine`) instead of hashing value tuples per row;
 * the matrix builders (``M``/``N``/``O``) derive their value catalogs from
   the dictionaries with one vectorized pass instead of re-hashing literals;
-* FDEP's pair scan compares label arrays instead of value lists;
+* FDEP's pair scan compares code columns instead of value lists;
 * checkpoint fingerprints hash dictionaries + columns, which makes them
   invariant to how the ingest stream was chunked.
 
@@ -278,3 +278,35 @@ class ColumnStore:
             f"ColumnStore({list(self.names)!r}, {self.n_rows} rows, "
             f"cardinalities={list(self.cardinalities())!r})"
         )
+
+
+#: :func:`refine` numbers keys with a presence table while the key space is
+#: at most this many slots per row, and sorts them with ``np.unique`` above.
+TABLE_KEYS_PER_ROW = 8
+
+
+def refine(groups: np.ndarray, n_groups: int, codes: np.ndarray,
+           card: int) -> tuple[np.ndarray, np.ndarray]:
+    """Refine a row grouping by one code column.
+
+    ``groups`` labels every row with a group in ``0 .. n_groups - 1`` and
+    ``codes`` is a column of codes in ``0 .. card - 1``.  Returns exactly
+    the inverse of ``np.unique(groups * card + codes, return_inverse=True)``
+    and its ``np.bincount``: the refined groups, numbered in increasing
+    fused-key order, and their row counts.
+
+    When the ``n_groups * card`` fused keys fit :data:`TABLE_KEYS_PER_ROW`
+    slots per row, a presence table over them and one ``cumsum`` number
+    the occupied keys in that same increasing order, without a sort.  A
+    larger key space (a near-key grouping refined by a wide column) is
+    sorted with ``np.unique``, whose cost follows the rows instead.
+    """
+    keys = np.multiply(groups, card, dtype=np.int64)
+    keys += codes
+    if n_groups * card <= TABLE_KEYS_PER_ROW * keys.size:
+        table = np.bincount(keys, minlength=n_groups * card)
+        present = table > 0
+        rank = np.cumsum(present) - 1
+        return rank[keys], table[present]
+    _, inverse = np.unique(keys, return_inverse=True)
+    return inverse, np.bincount(inverse)

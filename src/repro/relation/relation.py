@@ -171,10 +171,15 @@ class Relation:
         """Number of distinct attribute values across the whole relation.
 
         Counts *global* literals, matching the paper's counts (e.g. the DB2
-        sample relation has 255 attribute values).
+        sample relation has 255 attribute values).  A coded relation counts
+        the union of its dictionaries, whose entries are exactly the values
+        its columns hold, without materializing the rows.
         """
+        if self._coded is not None:
+            return len(set().union(
+                *(d.values for d in self._coded.dictionaries)))
         values: set = set()
-        for row in self.rows:
+        for row in self._rows:
             values.update(row)
         return len(values)
 

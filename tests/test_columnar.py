@@ -164,3 +164,31 @@ class TestFingerprint:
         writer.save_stage("probe", 1)
         resumed = CheckpointStore(directory, resume=True)
         assert resumed.open_run(other, {}) is False
+
+
+class TestValueCount:
+    ROWS = [
+        ("fr", 1, NULL),
+        ("de", 1.0, "fr"),  # 1 == 1.0; "fr" recurs under another attribute
+        (NULL, True, "it"),  # True == 1; NULL is one value wherever it sits
+    ]
+
+    def test_coded_count_matches_row_count(self):
+        rows_born = Relation(["a", "b", "c"], self.ROWS)
+        coded = RelationClass.from_columns(
+            rows_born.schema, ColumnStore.from_rows(["a", "b", "c"], self.ROWS))
+        assert rows_born.value_count() == coded.value_count() == 5
+
+    def test_summary_leaves_rows_unmaterialized(self, csv_path, monkeypatch):
+        from repro.core import StructureDiscovery
+
+        relation, _ = load_csv(csv_path)
+        report = StructureDiscovery().run(relation)
+        expected = len({value for row in relation.coded.row_tuples()
+                        for value in row})
+
+        def refuse(self):
+            raise AssertionError("rows were materialized")
+
+        monkeypatch.setattr(ColumnStore, "row_tuples", refuse)
+        assert report.summary()["n_values"] == expected

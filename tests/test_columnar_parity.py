@@ -12,7 +12,6 @@ through both and demands exact agreement:
 * FDEP agree sets (bitmask block scan vs the per-pair row loop).
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,15 +62,6 @@ class TestPartitionParity:
         oracle = partition_of_rows(rel, subset)
         assert coded.classes == oracle.classes
         assert coded.n_rows == oracle.n_rows
-
-    @given(relation(min_rows=1))
-    @settings(max_examples=50)
-    def test_label_array_consistent_with_classes(self, rel):
-        part = partition_of(rel, [rel.schema.names[0]])
-        labels = part.label_array
-        assert labels.shape == (len(rel),)
-        for class_index, members in enumerate(part.classes):
-            assert set(np.flatnonzero(labels == class_index)) == set(members)
 
 
 class TestMatrixParity:

@@ -313,21 +313,62 @@ class TestPhaseThreeGovernor:
 
 
 class TestPhaseThreeMemory:
-    def test_dblp_association_peak_stays_small(self):
-        # A dense pack of these summaries peaks at about 58 MB (a 2,000 x
-        # 2,084 float64 matrix plus a reps x block-non-zeros slab); the
-        # postings kernel needs under 8.
-        import tracemalloc
-
-        from repro.clustering.limbo import assign_rows
+    @pytest.fixture(scope="class")
+    def dblp_phase3(self):
         from repro.datasets import dblp
 
         view = build_tuple_view(dblp(2000, seed=1))
         limbo = Limbo(phi=0.0).fit(
             view.rows, view.priors,
             mutual_information=view.mutual_information())
-        summaries = limbo.summaries
-        rows, priors = list(view.rows), list(view.priors)
+        return limbo.summaries, list(view.rows), list(view.priors)
+
+    def test_cap_counts_each_blocks_posting_hits(self, dblp_phase3,
+                                                 monkeypatch):
+        # The set and a block's cost cells are estimated at 3.3 MB, but a
+        # full block's ~137k posting hits take tracemalloc to 6.5 MB.  Under
+        # a 6 MB cap the full block runs the scalar scan and only the short
+        # block of 16 objects fits the kernel, with the same assignments.
+        import tracemalloc
+
+        from repro import kernels
+        from repro.budget import MemoryGovernor
+        from repro.clustering.limbo import assign_rows
+
+        summaries, rows, priors = dblp_phase3
+        rows, priors = rows[:64] + rows[-16:], priors[:64] + priors[-16:]
+        blocks = []
+        closest_many = kernels.PostingsDCFSet.closest_many
+
+        def spy(self, block_rows, block_priors):
+            blocks.append(len(block_rows))
+            return closest_many(self, block_rows, block_priors)
+
+        uncapped = assign_rows(summaries, rows, priors, "auto")
+        monkeypatch.setattr(kernels.PostingsDCFSet, "closest_many", spy)
+        budget = RecordingBudget()
+        cap = 6 * 2 ** 20
+        budget.memory = MemoryGovernor(cap)
+        tracemalloc.start()
+        try:
+            capped = assign_rows(summaries, rows, priors, "auto",
+                                 budget=budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blocks == [16]
+        assert capped == uncapped
+        assert peak < cap
+
+    def test_dblp_association_peak_stays_small(self, dblp_phase3):
+        # A dense pack of these summaries peaks at about 58 MB (a 2,000 x
+        # 2,084 float64 matrix plus a reps x block-non-zeros slab); the
+        # postings kernel needs under 8.
+        import tracemalloc
+
+        from repro.clustering.limbo import assign_rows
+
+        summaries, rows, priors = dblp_phase3
         tracemalloc.start()
         try:
             assignment = assign_rows(summaries, rows, priors, "auto")
