@@ -1,7 +1,8 @@
 """Machine-readable clustering benchmark: sparse oracle vs. dense kernels.
 
 Runs the ``test_scaling_limbo.py`` sweep (three LIMBO phases over growing
-DBLP slices) under every numeric backend, the AIB merge-loop
+DBLP slices) under every numeric backend, the Phase-1 race (the fused
+DCF-tree against the unfused reference tree), the AIB merge-loop
 microbenchmark over leaf summaries, and the FD-mining race (TANE vs the
 reliable top-k miner), and writes the results as JSON -- the committed
 ``BENCH_clustering.json`` is the performance baseline future changes are
@@ -31,9 +32,10 @@ import numpy as np
 
 from repro import kernels
 from repro.budget import peak_rss
-from repro.clustering import Limbo, aib
+from repro.clustering import DCF, DCFTree, Limbo, aib
 from repro.datasets import dblp
 from repro.relation import build_tuple_view
+from repro.testing.oracles import ReferenceDCFTree
 
 #: Bump when the JSON layout changes.  v4 added ``pack_s`` per sweep backend
 #: (dense packing overhead: matrix gathers + engine builds) and
@@ -52,8 +54,9 @@ from repro.relation import build_tuple_view
 #: the median of per-round ratios, the backends running round by round.
 #: v10 takes those ratios over Phase 2 + 3 seconds (``kernel_phases_s``),
 #: the phases where the backends differ; Phase 1 is the same scalar code
-#: under every backend.
-SCHEMA_VERSION = 10
+#: under every backend.  v11 adds the ``phase1`` section: tree inserts of
+#: the fused DCF-tree against the unfused reference tree.
+SCHEMA_VERSION = 11
 
 FULL = {"sizes": (1000, 2000, 4000, 8000), "aib_leaves": 512,
         "repeats": 3, "phi": 1.0}
@@ -75,6 +78,14 @@ FD_MINING_REPEATS = 3
 #: The reliable top-10 miner may take at most this share of TANE's seconds
 #: on the ``fd_mining`` workload.
 FD_MINING_MAX_SECONDS_RATIO = 0.5
+
+#: Rounds of the Phase-1 race, in both presets; rounds alternate which
+#: tree inserts first.
+PHASE1_ROUNDS = 5
+
+#: The fused DCF-tree may take at most this share of the reference tree's
+#: insert seconds at the largest sweep size (gated by ``--check-speedup``).
+PHASE1_MAX_SECONDS_RATIO = 0.9
 
 
 def best_of(repeats, fn):
@@ -178,6 +189,67 @@ def run_limbo_sweep(relation, sizes, repeats, phi):
             f"  parity={entry['assignments_identical']}"
         )
     return rows
+
+
+def leaf_bits(leaves):
+    """Every float of the leaves as hex, with key order and members."""
+    return [(leaf.weight.hex(), leaf.mass_log_sum.hex(),
+             [(key, mass.hex()) for key, mass in leaf.mass.items()],
+             leaf.members) for leaf in leaves]
+
+
+def tree_inserts(tree_class, view, phi):
+    """Seconds of one Phase-1 tree's inserts over ``view``, and its leaves."""
+    information = view.mutual_information()
+    n = len(view.rows)
+    tree = tree_class(phi * information / n,
+                      threshold_floor=information / n / 64.0)
+    singletons = [DCF.singleton(index, prior, row) for index, (row, prior)
+                  in enumerate(zip(view.rows, view.priors))]
+    start = time.perf_counter()
+    for dcf in singletons:
+        tree.insert(dcf)
+    return time.perf_counter() - start, tree.leaves()
+
+
+def run_phase1(view, phi, rounds):
+    """The fused DCF-tree against :class:`ReferenceDCFTree`, which costs
+    every entry, absorb and split pair without reuse.
+
+    The trees run round by round, alternating which goes first, as the
+    sweep's backends do; the ratio is the median of the per-round ratios
+    of fused over reference insert seconds.
+    """
+    trees = {"fused": DCFTree, "reference": ReferenceDCFTree}
+    rounds_s = []
+    leaves = {}
+    for round_index in range(rounds):
+        order = list(trees) if round_index % 2 == 0 else list(trees)[::-1]
+        timing = {}
+        for name in order:
+            timing[name], leaves[name] = tree_inserts(trees[name], view, phi)
+        rounds_s.append(timing)
+    result = {
+        "n_tuples": len(view.rows),
+        "phi": phi,
+        "rounds": rounds,
+        "fused_s": min(timing["fused"] for timing in rounds_s),
+        "reference_s": min(timing["reference"] for timing in rounds_s),
+        "seconds_ratio": statistics.median(
+            timing["fused"] / timing["reference"] for timing in rounds_s),
+        "leaves": len(leaves["fused"]),
+        "leaves_identical":
+            leaf_bits(leaves["fused"]) == leaf_bits(leaves["reference"]),
+    }
+    result["within_seconds_ratio"] = (
+        result["seconds_ratio"] <= PHASE1_MAX_SECONDS_RATIO)
+    print(
+        f"  n={result['n_tuples']}: fused {result['fused_s']:.3f}s"
+        f"  reference {result['reference_s']:.3f}s"
+        f"  seconds ratio {result['seconds_ratio']:.2f}"
+        f"  parity={result['leaves_identical']}"
+    )
+    return result
 
 
 def leaf_summaries(relation, n_leaves):
@@ -294,8 +366,9 @@ def main(argv=None):
         "--check-speedup", type=float, default=None, metavar="X",
         help="exit non-zero unless the dense AIB speedup is at least X, "
         "neither auto nor dense loses to sparse on Phases 2 + 3 at the "
-        "largest LIMBO sweep size (median of the per-round ratios), and "
-        "dense packing stays within 20%% of Phase-1 time",
+        "largest LIMBO sweep size (median of the per-round ratios), "
+        "dense packing stays within 20%% of Phase-1 time, and the fused "
+        "DCF-tree takes at most 0.9 of the reference tree's insert seconds",
     )
     args = parser.parse_args(argv)
 
@@ -305,6 +378,13 @@ def main(argv=None):
     print(f"LIMBO sweep (phi={preset['phi']}, max_summaries={MAX_SUMMARIES}):")
     sweep = run_limbo_sweep(
         relation, preset["sizes"], preset["repeats"], preset["phi"]
+    )
+
+    print(f"Phase 1: fused vs reference DCF-tree inserts "
+          f"(phi={preset['phi']}):")
+    phase1 = run_phase1(
+        build_tuple_view(relation.take(range(max(preset["sizes"])))),
+        preset["phi"], PHASE1_ROUNDS,
     )
 
     print("AIB merge-loop microbenchmark:")
@@ -338,6 +418,7 @@ def main(argv=None):
             "cpus": os.cpu_count(),
         },
         "limbo_sweep": sweep,
+        "phase1": phase1,
         "aib": aib_micro,
         "fd_mining": fd_mining,
         # High-water-mark RSS of the whole benchmark process (bytes; None
@@ -353,6 +434,10 @@ def main(argv=None):
         return 1
     if not all(entry["assignments_identical"] for entry in sweep):
         print("FAIL: backends disagree on Phase-3 assignments", file=sys.stderr)
+        return 1
+    if not phase1["leaves_identical"]:
+        print("FAIL: the fused and reference DCF-trees build different "
+              "leaves", file=sys.stderr)
         return 1
     if not fd_mining["fewer_partitions_than_tane"]:
         print(
@@ -406,11 +491,22 @@ def main(argv=None):
                 file=sys.stderr,
             )
             return 1
+        if not phase1["within_seconds_ratio"]:
+            print(
+                f"FAIL: the fused DCF-tree at n={phase1['n_tuples']} takes "
+                f"{phase1['seconds_ratio']:.2f} of the reference tree's "
+                f"insert seconds (median round ratio; at most "
+                f"{PHASE1_MAX_SECONDS_RATIO:.2f} allowed)",
+                file=sys.stderr,
+            )
+            return 1
         print(
             f"speedup gate passed: aib {aib_micro['speedup']:.2f}x >= "
             f"{args.check_speedup:.2f}x, sweep auto {largest['speedup_auto']:.2f}x"
             f" and dense {largest['speedup_dense']:.2f}x >= 1.0, "
-            f"pack {dense_largest['pack_s']:.3f}s <= 20% of phase 1"
+            f"pack {dense_largest['pack_s']:.3f}s <= 20% of phase 1, "
+            f"phase 1 ratio {phase1['seconds_ratio']:.2f} <= "
+            f"{PHASE1_MAX_SECONDS_RATIO:.2f}"
         )
     return 0
 

@@ -21,6 +21,9 @@ the data set costs 13 updates, not a scan of the summary).  The identities:
                         + S_b - sum_{k in supp(b)} [ (m_ak + m_bk) ln(m_ak + m_bk)
                                                      - m_ak ln m_ak ]
     with w = w_a + w_b (derivable by expanding Eq. 3 with the mixture rule).
+
+The sum over ``supp(b)`` is, term for term, the ``S`` update of absorbing
+``b``, so the DCF-tree hands :func:`scan`'s overlap to ``DCF.absorb``.
 """
 
 from __future__ import annotations
@@ -205,19 +208,24 @@ class DCF:
 
     # -- in-place absorption (the DCF-tree hot path) ---------------------------------
 
-    def absorb(self, other: "DCF") -> None:
+    def absorb(self, other: "DCF", delta: float | None = None) -> None:
         """Merge ``other`` into this cluster in place (Equations 1-2).
 
         Costs ``O(|supp(other)|)``; used by the DCF-tree so that routing
         summaries can absorb streamed objects without being copied.
+        ``delta``, the overlap :func:`scan` returned for this entry, is the
+        change of ``S`` already summed; then only the masses update.
         """
-        delta = 0.0
         mass = self.mass
+        sum_logs = delta is None
+        if sum_logs:
+            delta = 0.0
         for column, m_other in other.mass.items():
             m_self = mass.get(column, 0.0)
             merged = m_self + m_other
             mass[column] = merged
-            delta += _xlogx(merged) - _xlogx(m_self)
+            if sum_logs:
+                delta += _xlogx(merged) - _xlogx(m_self)
         self._mass_log_sum += delta
         self._entropy = None
         self._arrays = None
@@ -235,40 +243,59 @@ class DCF:
 def merge_cost(dcf_a: DCF, dcf_b: DCF) -> float:
     """``delta_I(c_a, c_b)`` in bits (Equation 3).
 
-    Touches only the support of the smaller operand (see the module
-    docstring for the identity), so summary-vs-object distances are cheap
-    regardless of how much data the summary covers.
+    Touches only the support of the smaller operand, ``dcf_b`` on a tie
+    (see the module docstring for the identity), so summary-vs-object
+    distances are cheap regardless of how much data the summary covers.
     """
-    if len(dcf_b.mass) > len(dcf_a.mass):
-        dcf_a, dcf_b = dcf_b, dcf_a
-    w = dcf_a.weight + dcf_b.weight
-    mass_a = dcf_a.mass
-    overlap = 0.0
-    for column, m_b in dcf_b.mass.items():
-        m_a = mass_a.get(column, 0.0)
-        overlap += _xlogx(m_a + m_b) - _xlogx(m_a)
-    loss = (
-        w * math.log(w)
-        - dcf_a.wlogw
-        - dcf_b.wlogw
-        + dcf_b._mass_log_sum
-        - overlap
-    ) / _LOG2
-    return quantize_loss(max(loss, 0.0))
+    return scan((dcf_a,), dcf_b)[1]
 
 
 def closest(dcfs, query: DCF) -> tuple[int, float]:
     """Index and cost of the DCF in ``dcfs`` closest to ``query``.
 
-    The scalar scan behind the DCF-tree's node descent and LIMBO's sparse
-    Phase-3 loop: minimum :func:`merge_cost`, ties to the lowest index.
+    The scalar scan behind LIMBO's sparse Phase-3 loop: minimum
+    :func:`merge_cost`, ties to the lowest index.
     """
-    best_index, best_cost = 0, merge_cost(dcfs[0], query)
-    for index in range(1, len(dcfs)):
-        cost = merge_cost(dcfs[index], query)
+    index, cost, _ = scan(dcfs, query)
+    return index, cost
+
+
+def scan(dcfs, query: DCF) -> tuple[int, float, float | None]:
+    """:func:`closest` plus the chosen entry's overlap with ``query``.
+
+    The one cost body: ``merge_cost(dcfs[i], query)`` with :func:`_xlogx`
+    and :func:`quantize_loss` inline, the same operations in the same
+    order.  The overlap is the delta ``entry.absorb(query)`` would sum when
+    the scan walked the query's support, and ``None`` when it walked the
+    entry's (the larger query).
+    """
+    log, frexp, ldexp = math.log, math.frexp, math.ldexp
+    size = len(query.mass)
+    best_index, best_cost, best_overlap = 0, math.inf, None
+    for index, entry in enumerate(dcfs):
+        outer, walked = ((entry, query) if size <= len(entry.mass)
+                         else (query, entry))
+        get = outer.mass.get
+        overlap = 0.0
+        for column, m_b in walked.mass.items():
+            m_a = get(column, 0.0)
+            merged = m_a + m_b
+            overlap += ((merged * log(merged) if merged > 0.0 else 0.0)
+                        - (m_a * log(m_a) if m_a > 0.0 else 0.0))
+        w = outer.weight + walked.weight
+        loss = (w * log(w) - outer.wlogw - walked.wlogw
+                + walked._mass_log_sum - overlap) / _LOG2
+        # quantize_loss(max(loss, 0.0)): the floor test also catches loss < 0.
+        if loss < LOSS_FLOOR:
+            cost = 0.0
+        else:
+            mantissa, exponent = frexp(loss)
+            cost = ldexp(round(ldexp(mantissa, LOSS_QUANTUM_BITS)),
+                         exponent - LOSS_QUANTUM_BITS)
         if cost < best_cost:
             best_index, best_cost = index, cost
-    return best_index, best_cost
+            best_overlap = overlap if walked is query else None
+    return best_index, best_cost, best_overlap
 
 
 def merge(dcf_a: DCF, dcf_b: DCF) -> DCF:

@@ -25,7 +25,7 @@ governor triggers the same rebuild path as a count overflow.
 
 from __future__ import annotations
 
-from repro.clustering.dcf import DCF, closest, merge_cost
+from repro.clustering.dcf import DCF, merge_cost, scan
 from repro.errors import MemoryLimitExceeded
 from repro.testing.faults import fault_point
 
@@ -88,9 +88,9 @@ class DCFTree:
     branching:
         Maximum entries per node (the paper's ``B``; default 4 as in
         Section 8).  A node scan compares at most ``B`` entries, so it is
-        always the scalar :func:`repro.clustering.dcf.closest` scan; the
-        ``backend`` knob of :class:`repro.clustering.Limbo` does not
-        reach the tree.
+        always the scalar :func:`repro.clustering.dcf.scan`, whose overlap
+        the chosen entry's absorb reuses; the ``backend`` knob of
+        :class:`repro.clustering.Limbo` does not reach the tree.
     max_leaf_entries:
         Optional fixed leaf-entry buffer (the paper's space bound).  An
         insert that pushes the leaf-entry count past this escalates the
@@ -242,9 +242,9 @@ class DCFTree:
         """Insert recursively; returns a (left, right) pair if ``node`` split."""
         if node.is_leaf:
             if node.entries:
-                index, cost = closest(node.entries, dcf)
+                index, cost, overlap = scan(node.entries, dcf)
                 if cost <= self.threshold + _MERGE_EPSILON:
-                    node.entries[index].absorb(dcf)
+                    node.entries[index].absorb(dcf, overlap)
                     self.n_absorbed += 1
                     return None
             node.entries.append(dcf)
@@ -253,12 +253,13 @@ class DCFTree:
                 return self._split(node)
             return None
 
-        index, _ = closest(node.entries, dcf)
+        index, _, overlap = scan(node.entries, dcf)
         overflow = self._insert_into(node.children[index], dcf)
         if overflow is None:
-            # The child's insert never mutates dcf (at most it becomes a new
-            # leaf entry), so the routing summary can absorb it afterwards.
-            node.entries[index].absorb(dcf)
+            # The child's insert mutates neither dcf (at most it becomes a
+            # new leaf entry) nor this node's routing entries (fresh
+            # _summary copies), so the overlap still holds.
+            node.entries[index].absorb(dcf, overlap)
             return None
         left, right = overflow
         node.entries[index] = self._summary(left)
@@ -272,19 +273,30 @@ class DCFTree:
     def _split(self, node: _Node):
         """Split an overflowing node around its two farthest entries."""
         entries = node.entries
+        costs: dict = {}
+
+        def cost(i: int, j: int) -> float:
+            # merge_cost walks the smaller support, entries[j] on a tie: a
+            # cost is reused only under that resolved (outer, walked) order.
+            if len(entries[j].mass) > len(entries[i].mass):
+                i, j = j, i
+            if (i, j) not in costs:
+                costs[i, j] = merge_cost(entries[i], entries[j])
+            return costs[i, j]
+
         seed_a, seed_b, worst = 0, 1, -1.0
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
-                cost = merge_cost(entries[i], entries[j])
-                if cost > worst:
-                    seed_a, seed_b, worst = i, j, cost
+                pair_cost = cost(i, j)
+                if pair_cost > worst:
+                    seed_a, seed_b, worst = i, j, pair_cost
 
         group_a, group_b = [seed_a], [seed_b]
         for index in range(len(entries)):
             if index in (seed_a, seed_b):
                 continue
-            cost_a = merge_cost(entries[index], entries[seed_a])
-            cost_b = merge_cost(entries[index], entries[seed_b])
+            cost_a = cost(index, seed_a)
+            cost_b = cost(index, seed_b)
             (group_a if cost_a <= cost_b else group_b).append(index)
 
         def build(group: list[int]) -> _Node:

@@ -64,7 +64,7 @@ class Limbo:
         and ``dense`` both run the :class:`repro.kernels.PostingsDCFSet`
         kernel (see :func:`assign_rows`).  Phase 1 does not read it: the
         DCF-tree node scan compares at most ``branching`` entries and is
-        always scalar.
+        always the scalar :func:`repro.clustering.dcf.scan`.
     checkpoint:
         Optional :class:`repro.checkpoint.StageCheckpoint`.  The Phase-1
         summaries are snapshotted once :meth:`fit` completes (keyed by a
@@ -320,37 +320,44 @@ def assign_rows(representatives, rows, priors, backend, budget=None) -> list[int
     oracle.  ``auto`` and ``dense`` feed ``_CHECK_EVERY``-object blocks to
     one :class:`repro.kernels.PostingsDCFSet` over the representatives.
     Under a memory cap, the set is built only if the governor admits its
-    :func:`repro.kernels.postings_bytes` estimate, and a block runs in it
-    only if the governor also admits the block's posting hits
-    (:meth:`repro.kernels.PostingsDCFSet.hit_bytes`); a refused block takes
-    the scalar scan.  Both give the same assignments and checkpoint once
-    per block.
+    :func:`repro.kernels.postings_bytes` estimate for a full block, and a
+    block runs in it only if the governor also admits the block's posting
+    hits (:meth:`repro.kernels.PostingsDCFSet.hit_bytes`).  A refused block
+    is halved until its parts are admitted, each at its own size's
+    estimate; only a single refused object takes the scalar scan.  All
+    paths give the same assignments and checkpoint once per block.
     """
     reps = list(representatives)
     rows = rows if isinstance(rows, list) else list(rows)
     priors = priors if isinstance(priors, list) else list(priors)
     governor = getattr(budget, "memory", None)
-    if governor is not None:
-        estimate = kernels.postings_bytes(reps, _CHECK_EVERY)
     postings = None
-    if backend != "sparse" and (
-            governor is None or not governor.would_exceed(estimate)):
+    if backend != "sparse" and (governor is None or not governor.would_exceed(
+            kernels.postings_bytes(reps, _CHECK_EVERY))):
         postings = kernels.PostingsDCFSet(reps)
     assignment: list[int] = []
     for start in range(0, len(rows), _CHECK_EVERY):
         checkpoint(budget, units=_CHECK_EVERY * len(reps),
                    where="limbo.assign")
         stop = start + _CHECK_EVERY
-        block_rows, block_priors = rows[start:stop], priors[start:stop]
-        in_kernel = postings is not None and (
-            governor is None or not governor.would_exceed(
-                estimate + postings.hit_bytes(block_rows)))
-        if in_kernel:
-            assignment.extend(postings.closest_many(block_rows, block_priors))
-        else:
-            assignment.extend(closest(reps, DCF(prior, row))[0]
-                              for row, prior in zip(block_rows, block_priors))
+        assignment.extend(_associate(postings, reps, governor,
+                                     rows[start:stop], priors[start:stop]))
     return assignment
+
+
+def _associate(postings, reps, governor, rows, priors) -> list[int]:
+    """One block of :func:`assign_rows`, halved while the governor refuses
+    it; a lone refused object, or any without a kernel, is scanned."""
+    if postings is not None and (governor is None or not governor.would_exceed(
+            kernels.postings_bytes(reps, len(rows))
+            + postings.hit_bytes(rows))):
+        return postings.closest_many(rows, priors)
+    if postings is None or len(rows) == 1:
+        return [closest(reps, DCF(prior, row))[0]
+                for row, prior in zip(rows, priors)]
+    half = len(rows) // 2
+    return (_associate(postings, reps, governor, rows[:half], priors[:half])
+            + _associate(postings, reps, governor, rows[half:], priors[half:]))
 
 
 def clustering_information(rows, priors, assignment) -> float:

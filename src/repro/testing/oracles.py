@@ -20,11 +20,16 @@ Two independence levels are provided on purpose:
 
 Both scale exponentially in arity; keep oracle relations at <= 8 attributes.
 
-The row-tuple oracles at the end (:func:`partition_of_rows`,
+The row-tuple oracles (:func:`partition_of_rows`,
 :func:`agree_sets_rows`, :func:`build_tuple_view_rows`,
 :func:`build_value_view_rows`) are the per-row twins of the coded-column
 builders: they compare or hash the row tuples directly, so the columnar
 parity suite can demand exact agreement.
+
+:class:`ReferenceDCFTree` at the end is the DCF-tree without the fused
+scan: one :func:`reference_merge_cost` call per entry and an absorb that
+takes every log again.  The fused tree must build the same leaves bit for
+bit, and ``benchmarks/bench_clustering.py`` times the two.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+from repro.clustering.dcf import _LOG2, DCF, _xlogx, quantize_loss
+from repro.clustering.dcf_tree import _MERGE_EPSILON, DCFTree, _Node
 from repro.fd.dependency import FD
 from repro.fd.partitions import Partition
 from repro.fd.reliable import ReliableFD, reliable_score
@@ -271,3 +278,98 @@ def build_value_view_rows(
         tuple_counts=tuple_counts,
         double_clustered=tuple_clusters is not None,
     )
+
+
+def reference_merge_cost(dcf_a: DCF, dcf_b: DCF) -> float:
+    """:func:`repro.clustering.dcf.merge_cost` as one scalar body per pair,
+    calling :func:`_xlogx` and :func:`quantize_loss`."""
+    if len(dcf_b.mass) > len(dcf_a.mass):
+        dcf_a, dcf_b = dcf_b, dcf_a
+    w = dcf_a.weight + dcf_b.weight
+    mass_a = dcf_a.mass
+    overlap = 0.0
+    for column, m_b in dcf_b.mass.items():
+        m_a = mass_a.get(column, 0.0)
+        overlap += _xlogx(m_a + m_b) - _xlogx(m_a)
+    loss = (
+        w * math.log(w)
+        - dcf_a.wlogw
+        - dcf_b.wlogw
+        + dcf_b._mass_log_sum
+        - overlap
+    ) / _LOG2
+    return quantize_loss(max(loss, 0.0))
+
+
+def reference_closest(dcfs, query: DCF) -> tuple[int, float]:
+    """Minimum :func:`reference_merge_cost`, ties to the lowest index."""
+    best_index, best_cost = 0, reference_merge_cost(dcfs[0], query)
+    for index in range(1, len(dcfs)):
+        cost = reference_merge_cost(dcfs[index], query)
+        if cost < best_cost:
+            best_index, best_cost = index, cost
+    return best_index, best_cost
+
+
+class ReferenceDCFTree(DCFTree):
+    """The DCF-tree insert and split with unfused costs and absorbs.
+
+    Every node scan costs each entry with :func:`reference_merge_cost`,
+    every absorb recomputes its logs, and a split costs each seed pair
+    again.  Rebuilds, booking and counters are the production tree's.
+    """
+
+    def _insert_into(self, node: _Node, dcf: DCF):
+        if node.is_leaf:
+            if node.entries:
+                index, cost = reference_closest(node.entries, dcf)
+                if cost <= self.threshold + _MERGE_EPSILON:
+                    node.entries[index].absorb(dcf)
+                    self.n_absorbed += 1
+                    return None
+            node.entries.append(dcf)
+            self.n_leaf_entries += 1
+            if len(node.entries) > self.branching:
+                return self._split(node)
+            return None
+
+        index, _ = reference_closest(node.entries, dcf)
+        overflow = self._insert_into(node.children[index], dcf)
+        if overflow is None:
+            node.entries[index].absorb(dcf)
+            return None
+        left, right = overflow
+        node.entries[index] = self._summary(left)
+        node.children[index] = left
+        node.entries.insert(index + 1, self._summary(right))
+        node.children.insert(index + 1, right)
+        if len(node.entries) > self.branching:
+            return self._split(node)
+        return None
+
+    def _split(self, node: _Node):
+        entries = node.entries
+        seed_a, seed_b, worst = 0, 1, -1.0
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                cost = reference_merge_cost(entries[i], entries[j])
+                if cost > worst:
+                    seed_a, seed_b, worst = i, j, cost
+
+        group_a, group_b = [seed_a], [seed_b]
+        for index in range(len(entries)):
+            if index in (seed_a, seed_b):
+                continue
+            cost_a = reference_merge_cost(entries[index], entries[seed_a])
+            cost_b = reference_merge_cost(entries[index], entries[seed_b])
+            (group_a if cost_a <= cost_b else group_b).append(index)
+
+        def build(group: list[int]) -> _Node:
+            if node.is_leaf:
+                return _Node(entries=[entries[i] for i in group])
+            return _Node(
+                entries=[entries[i] for i in group],
+                children=[node.children[i] for i in group],
+            )
+
+        return build(group_a), build(group_b)

@@ -9,9 +9,13 @@ through both and demands exact agreement:
 * the matrix builders ``M``/``N``/``O`` (:func:`build_tuple_view` /
   :func:`build_value_view` vs their ``*_rows`` twins) and the DCF
   support sets derived from them,
-* FDEP agree sets (bitmask block scan vs the per-pair row loop).
+* FDEP agree sets (bitmask block scan vs the per-pair row loop), on both
+  sides of the presence-table rule.
 """
 
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +29,7 @@ from repro.fd.fdep import (
 )
 from repro.fd.partitions import partition_of
 from repro.relation import NULL, Relation
+from repro.relation.columns import TABLE_KEYS_PER_ROW
 from repro.relation.matrices import build_tuple_view, build_value_view
 from repro.testing.oracles import (
     agree_sets_rows,
@@ -134,6 +139,46 @@ class TestAgreeSetParity:
     @settings(max_examples=40)
     def test_agree_sets_entry_point(self, rel):
         assert agree_sets(rel) == agree_sets_rows(rel)
+
+
+class TestAgreeSetTable:
+    """FDEP marks each tuple's masks in a presence table while the
+    ``2**arity`` masks fit TABLE_KEYS_PER_ROW slots per row, and
+    deduplicates them per tuple above; both give the oracle's sets."""
+
+    @pytest.mark.parametrize("arity, n, keys_per_row, table", [
+        pytest.param(13, 1024, TABLE_KEYS_PER_ROW, True, id="13-at-the-rule"),
+        pytest.param(13, 1023, TABLE_KEYS_PER_ROW, False,
+                     id="13-just-below-the-rule"),
+        pytest.param(19, 60, TABLE_KEYS_PER_ROW, False, id="19-db2-width"),
+        pytest.param(19, 60, 1 << 14, True, id="19-rule-raised"),
+        pytest.param(62, 60, TABLE_KEYS_PER_ROW, False, id="62-one-full-word"),
+        pytest.param(63, 60, TABLE_KEYS_PER_ROW, False, id="63-two-words"),
+    ])
+    def test_matches_row_oracle(self, monkeypatch, arity, n, keys_per_row,
+                                table):
+        rng = np.random.default_rng(arity * 10_000 + n)
+        cards = rng.integers(2, 5, size=arity)
+        rel = Relation([f"A{a}" for a in range(arity)],
+                       [tuple(row) for row in
+                        rng.integers(0, cards, size=(n, arity)).tolist()])
+        rel.coded  # build the code columns before counting calls
+        decodes = []
+        flatnonzero = np.flatnonzero
+
+        def counting(*args, **kwargs):
+            decodes.append(1)
+            return flatnonzero(*args, **kwargs)
+
+        # repro.fd re-exports the function fdep under the module's name.
+        monkeypatch.setattr(sys.modules["repro.fd.fdep"],
+                            "TABLE_KEYS_PER_ROW", keys_per_row)
+        monkeypatch.setattr(np, "flatnonzero", counting)
+        got = agree_sets(rel)
+        monkeypatch.undo()
+        assert ((1 << arity) <= keys_per_row * n) == table
+        assert len(decodes) == table
+        assert got == agree_sets_rows(rel)
 
 
 class TestWideRelationFallback:

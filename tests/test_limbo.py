@@ -327,8 +327,9 @@ class TestPhaseThreeMemory:
                                                  monkeypatch):
         # The set and a block's cost cells are estimated at 3.3 MB, but a
         # full block's ~137k posting hits take tracemalloc to 6.5 MB.  Under
-        # a 6 MB cap the full block runs the scalar scan and only the short
-        # block of 16 objects fits the kernel, with the same assignments.
+        # a 6 MB cap the full block is refused and runs in the kernel as two
+        # halves of 32, each estimated at its own size; the short block of
+        # 16 objects fits whole.  The assignments are the same.
         import tracemalloc
 
         from repro import kernels
@@ -356,7 +357,7 @@ class TestPhaseThreeMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert blocks == [16]
+        assert blocks == [32, 32, 16]
         assert capped == uncapped
         assert peak < cap
 
