@@ -2,9 +2,11 @@
 
 Runs the ``test_scaling_limbo.py`` sweep (three LIMBO phases over growing
 DBLP slices) under every numeric backend, the Phase-1 race (the fused
-DCF-tree against the unfused reference tree), the AIB merge-loop
-microbenchmark over leaf summaries, and the FD-mining race (TANE vs the
-reliable top-k miner), and writes the results as JSON -- the committed
+DCF-tree against the unfused reference tree), the Phase-3 race (the
+postings kernel against the reference kernel that costs every posting
+hit), the AIB merge-loop microbenchmark over leaf summaries, and the
+FD-mining race (TANE vs the reliable top-k miner), and writes the results
+as JSON -- the committed
 ``BENCH_clustering.json`` is the performance baseline future changes are
 judged against.
 
@@ -26,6 +28,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +36,10 @@ import numpy as np
 from repro import kernels
 from repro.budget import peak_rss
 from repro.clustering import DCF, DCFTree, Limbo, aib
+from repro.clustering.limbo import assign_rows
 from repro.datasets import dblp
 from repro.relation import build_tuple_view
-from repro.testing.oracles import ReferenceDCFTree
+from repro.testing.oracles import ReferenceDCFTree, reference_assign_rows
 
 #: Bump when the JSON layout changes.  v4 added ``pack_s`` per sweep backend
 #: (dense packing overhead: matrix gathers + engine builds) and
@@ -55,8 +59,10 @@ from repro.testing.oracles import ReferenceDCFTree
 #: v10 takes those ratios over Phase 2 + 3 seconds (``kernel_phases_s``),
 #: the phases where the backends differ; Phase 1 is the same scalar code
 #: under every backend.  v11 adds the ``phase1`` section: tree inserts of
-#: the fused DCF-tree against the unfused reference tree.
-SCHEMA_VERSION = 11
+#: the fused DCF-tree against the unfused reference tree.  v12 adds the
+#: ``phase3`` section: the postings kernel's association against the
+#: reference kernel's.
+SCHEMA_VERSION = 12
 
 FULL = {"sizes": (1000, 2000, 4000, 8000), "aib_leaves": 512,
         "repeats": 3, "phi": 1.0}
@@ -86,6 +92,21 @@ PHASE1_ROUNDS = 5
 #: The fused DCF-tree may take at most this share of the reference tree's
 #: insert seconds at the largest sweep size (gated by ``--check-speedup``).
 PHASE1_MAX_SECONDS_RATIO = 0.9
+
+#: The Phase-3 race per preset: ``(tuples, dblp seed, phi, k)``, where
+#: ``k=None`` associates every tuple with every Phase-1 summary, as the
+#: duplicate-tuple procedure does.  At phi=0 the NULL column's posting
+#: spans every summary; at phi=1.0 with k=10 no posting is heavy.
+PHASE3_CASES = {
+    "smoke": ((2000, 1, 0.0, None),),
+    "full": ((8000, 1, 0.0, None), (8000, 3, 0.5, None), (8000, 3, 1.0, 10)),
+}
+PHASE3_ROUNDS = 5
+
+#: In the full preset the kernel may take at most this share of the
+#: reference kernel's seconds on the first (phi=0) case (gated by
+#: ``--check-speedup``).
+PHASE3_MAX_SECONDS_RATIO = 0.6
 
 
 def best_of(repeats, fn):
@@ -252,6 +273,71 @@ def run_phase1(view, phi, rounds):
     return result
 
 
+def run_phase3(n_tuples, seed, phi, k, rounds):
+    """Phase 3 through the postings kernel (:func:`assign_rows`) against
+    :func:`reference_assign_rows`, which costs every posting hit of every
+    tuple, over the same representatives.
+
+    The two run round by round, alternating which goes first; the ratio
+    is the median of the per-round ratios of kernel over reference
+    seconds.  One more run of each under tracemalloc gives its peak.
+    """
+    view = build_tuple_view(dblp(n_tuples=n_tuples, seed=seed))
+    limbo = Limbo(phi=phi).fit(
+        view.rows, view.priors, mutual_information=view.mutual_information()
+    )
+    reps = limbo.summaries if k is None else limbo.representatives(k)
+    rows, priors = list(view.rows), list(view.priors)
+    racers = {
+        "kernel": lambda: assign_rows(reps, rows, priors, "auto"),
+        "reference": lambda: reference_assign_rows(reps, rows, priors),
+    }
+    rounds_s = []
+    answers = {}
+    for round_index in range(rounds):
+        order = list(racers) if round_index % 2 == 0 else list(racers)[::-1]
+        timing = {}
+        for name in order:
+            start = time.perf_counter()
+            answers[name] = racers[name]()
+            timing[name] = time.perf_counter() - start
+        rounds_s.append(timing)
+    peaks = {}
+    for name, race in racers.items():
+        tracemalloc.start()
+        try:
+            race()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    result = {
+        "n_tuples": n_tuples,
+        "seed": seed,
+        "phi": phi,
+        "k": k,
+        "representatives": len(reps),
+        "rounds": rounds,
+        "rounds_s": rounds_s,
+        "kernel_s": min(timing["kernel"] for timing in rounds_s),
+        "reference_s": min(timing["reference"] for timing in rounds_s),
+        "seconds_ratio": statistics.median(
+            timing["kernel"] / timing["reference"] for timing in rounds_s),
+        "kernel_peak_bytes": peaks["kernel"],
+        "reference_peak_bytes": peaks["reference"],
+        "assignments_identical": answers["kernel"] == answers["reference"],
+    }
+    print(
+        f"  n={n_tuples} seed={seed} phi={phi} k={k} "
+        f"({len(reps)} representatives): kernel {result['kernel_s']:.3f}s"
+        f"  reference {result['reference_s']:.3f}s"
+        f"  seconds ratio {result['seconds_ratio']:.2f}"
+        f"  peak {peaks['kernel'] / 2 ** 20:.1f} vs "
+        f"{peaks['reference'] / 2 ** 20:.1f} MiB"
+        f"  parity={result['assignments_identical']}"
+    )
+    return result
+
+
 def leaf_summaries(relation, n_leaves):
     """Phase-1 leaf DCFs to feed the AIB microbenchmarks."""
     view = build_tuple_view(relation)
@@ -367,11 +453,14 @@ def main(argv=None):
         help="exit non-zero unless the dense AIB speedup is at least X, "
         "neither auto nor dense loses to sparse on Phases 2 + 3 at the "
         "largest LIMBO sweep size (median of the per-round ratios), "
-        "dense packing stays within 20%% of Phase-1 time, and the fused "
-        "DCF-tree takes at most 0.9 of the reference tree's insert seconds",
+        "dense packing stays within 20%% of Phase-1 time, the fused "
+        "DCF-tree takes at most 0.9 of the reference tree's insert seconds, "
+        "and (full preset) the Phase-3 kernel takes at most 0.6 of the "
+        "reference kernel's seconds at n=8,000, phi=0",
     )
     args = parser.parse_args(argv)
 
+    preset_name = "smoke" if args.smoke else "full"
     preset = SMOKE if args.smoke else FULL
     relation = dblp(n_tuples=max(max(preset["sizes"]), 1000), seed=7)
 
@@ -386,6 +475,10 @@ def main(argv=None):
         build_tuple_view(relation.take(range(max(preset["sizes"])))),
         preset["phi"], PHASE1_ROUNDS,
     )
+
+    print("Phase 3: postings kernel vs reference kernel:")
+    phase3 = [run_phase3(*case, PHASE3_ROUNDS)
+              for case in PHASE3_CASES[preset_name]]
 
     print("AIB merge-loop microbenchmark:")
     leaves = leaf_summaries(
@@ -402,7 +495,7 @@ def main(argv=None):
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": {
-            "preset": "smoke" if args.smoke else "full",
+            "preset": preset_name,
             "sizes": list(preset["sizes"]),
             "phi": preset["phi"],
             "max_summaries": MAX_SUMMARIES,
@@ -419,6 +512,7 @@ def main(argv=None):
         },
         "limbo_sweep": sweep,
         "phase1": phase1,
+        "phase3": phase3,
         "aib": aib_micro,
         "fd_mining": fd_mining,
         # High-water-mark RSS of the whole benchmark process (bytes; None
@@ -438,6 +532,10 @@ def main(argv=None):
     if not phase1["leaves_identical"]:
         print("FAIL: the fused and reference DCF-trees build different "
               "leaves", file=sys.stderr)
+        return 1
+    if not all(case["assignments_identical"] for case in phase3):
+        print("FAIL: the postings kernel and the reference kernel disagree "
+              "on Phase-3 assignments", file=sys.stderr)
         return 1
     if not fd_mining["fewer_partitions_than_tane"]:
         print(
@@ -500,13 +598,25 @@ def main(argv=None):
                 file=sys.stderr,
             )
             return 1
+        if not args.smoke and \
+                phase3[0]["seconds_ratio"] > PHASE3_MAX_SECONDS_RATIO:
+            print(
+                f"FAIL: the Phase-3 kernel at n={phase3[0]['n_tuples']} "
+                f"phi={phase3[0]['phi']} takes "
+                f"{phase3[0]['seconds_ratio']:.2f} of the reference "
+                f"kernel's seconds (median round ratio; at most "
+                f"{PHASE3_MAX_SECONDS_RATIO:.2f} allowed)",
+                file=sys.stderr,
+            )
+            return 1
         print(
             f"speedup gate passed: aib {aib_micro['speedup']:.2f}x >= "
             f"{args.check_speedup:.2f}x, sweep auto {largest['speedup_auto']:.2f}x"
             f" and dense {largest['speedup_dense']:.2f}x >= 1.0, "
             f"pack {dense_largest['pack_s']:.3f}s <= 20% of phase 1, "
             f"phase 1 ratio {phase1['seconds_ratio']:.2f} <= "
-            f"{PHASE1_MAX_SECONDS_RATIO:.2f}"
+            f"{PHASE1_MAX_SECONDS_RATIO:.2f}, phase 3 ratio "
+            f"{phase3[0]['seconds_ratio']:.2f}"
         )
     return 0
 

@@ -317,31 +317,44 @@ def assign_rows(representatives, rows, priors, backend, budget=None) -> list[int
     The implementation behind :meth:`Limbo.assign`; each object's
     assignment depends only on its own row.  ``backend="sparse"`` runs the
     scalar :func:`repro.clustering.dcf.closest` scan per object, the
-    oracle.  ``auto`` and ``dense`` feed ``_CHECK_EVERY``-object blocks to
-    one :class:`repro.kernels.PostingsDCFSet` over the representatives.
-    Under a memory cap, the set is built only if the governor admits its
-    :func:`repro.kernels.postings_bytes` estimate for a full block, and a
-    block runs in it only if the governor also admits the block's posting
-    hits (:meth:`repro.kernels.PostingsDCFSet.hit_bytes`).  A refused block
-    is halved until its parts are admitted, each at its own size's
-    estimate; only a single refused object takes the scalar scan.  All
-    paths give the same assignments and checkpoint once per block.
+    oracle.  ``auto`` and ``dense`` build one
+    :class:`repro.kernels.PostingsDCFSet` over the representatives, order
+    the objects by part when some posting is heavy
+    (:meth:`repro.kernels.PostingsDCFSet.part_order`), feed it
+    ``_CHECK_EVERY``-object blocks and put each answer back at its
+    object's index.  Under a memory cap, the set is built only if the
+    governor admits its :func:`repro.kernels.postings_bytes` estimate for
+    one object, and a block runs in it only if the governor admits the
+    estimate at the block's size plus its posting hits
+    (:meth:`repro.kernels.PostingsDCFSet.hit_bytes`).  A refused block is
+    halved until its parts are admitted; only a single refused object
+    takes the scalar scan.  All paths give the same assignments and
+    checkpoint once per block.
     """
     reps = list(representatives)
     rows = rows if isinstance(rows, list) else list(rows)
     priors = priors if isinstance(priors, list) else list(priors)
     governor = getattr(budget, "memory", None)
-    postings = None
+    postings = order = None
     if backend != "sparse" and (governor is None or not governor.would_exceed(
-            kernels.postings_bytes(reps, _CHECK_EVERY))):
+            kernels.postings_bytes(reps, 1))):
         postings = kernels.PostingsDCFSet(reps)
-    assignment: list[int] = []
+        order = postings.part_order(rows, priors)
+        if order is not None:
+            rows = [rows[index] for index in order]
+            priors = [priors[index] for index in order]
+    answers: list[int] = []
     for start in range(0, len(rows), _CHECK_EVERY):
         checkpoint(budget, units=_CHECK_EVERY * len(reps),
                    where="limbo.assign")
         stop = start + _CHECK_EVERY
-        assignment.extend(_associate(postings, reps, governor,
-                                     rows[start:stop], priors[start:stop]))
+        answers.extend(_associate(postings, reps, governor,
+                                  rows[start:stop], priors[start:stop]))
+    if order is None:
+        return answers
+    assignment = [0] * len(answers)
+    for index, answer in zip(order, answers):
+        assignment[index] = answer
     return assignment
 
 
@@ -350,7 +363,7 @@ def _associate(postings, reps, governor, rows, priors) -> list[int]:
     it; a lone refused object, or any without a kernel, is scanned."""
     if postings is not None and (governor is None or not governor.would_exceed(
             kernels.postings_bytes(reps, len(rows))
-            + postings.hit_bytes(rows))):
+            + postings.hit_bytes(rows, priors))):
         return postings.closest_many(rows, priors)
     if postings is None or len(rows) == 1:
         return [closest(reps, DCF(prior, row))[0]

@@ -10,9 +10,10 @@ Phase 3.  This package batches those evaluations:
   and pairwise candidate minima behind the dense AIB merge loop.
 * :class:`PostingsDCFSet` -- the one Phase-3 kernel: sparse per-column
   postings over a DCF collection.  LIMBO's batch association
-  (:meth:`repro.clustering.Limbo.assign`) feeds it blocks of objects, and
-  the daemon (``repro serve``) asks it for one row at a time and absorbs
-  served rows in place.
+  (:meth:`repro.clustering.Limbo.assign`) feeds it blocks of objects
+  ordered by part, whose long (heavy) postings it costs once per part,
+  and the daemon (``repro serve``) asks it for one row at a time and
+  absorbs served rows in place.
 * :func:`use_dense` / :func:`postings_bytes` / :func:`validate_backend` --
   the ``backend=`` knob of :func:`repro.clustering.aib` and
   :class:`repro.clustering.Limbo`, which steers only these two call sites,

@@ -247,6 +247,10 @@ def _gather_row(lut: np.ndarray, columns: np.ndarray, values: np.ndarray,
 #: The posting of a column no row carries yet (never written to).
 _NO_POSTING = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
+#: The scale of hits whose masses are already joint: a part's heavy
+#: columns and a daemon query's columns.
+_ONE = np.ones(1)
+
 #: Relative slack of :func:`_closest_rows`' candidate window: a loss that
 #: snaps to the same grid point as the row minimum lies within 1.5 grid
 #: steps of it, at most ``0.75 * 2**-28`` of the minimum.
@@ -256,30 +260,50 @@ _NEAR_MINIMUM = 1.0 + 2.0 ** -28
 def _closest_rows(costs: np.ndarray) -> np.ndarray:
     """Per query, the lowest row with the minimum snapped loss.
 
-    ``costs`` is a ``(queries, rows)`` array of losses in nats, consumed in
-    place.  The answer is ``argmin(_quantize(max(costs / ln 2, 0)))`` per
-    query, but only the cells within :data:`_NEAR_MINIMUM` (plus
-    :data:`LOSS_FLOOR`) of the query's raw minimum are snapped: the grid is
-    monotone, so no other cell can snap to the minimum's grid point.
+    ``costs`` is a ``(queries, rows)`` array of losses in nats.  The answer
+    is ``argmin(_quantize(max(costs / ln 2, 0)))`` per query.  The grid is
+    monotone, so only the cells within :data:`_NEAR_MINIMUM` of the
+    query's raw minimum (plus :data:`LOSS_FLOOR`) can snap to the
+    minimum's grid point: a query with one such cell takes its raw argmin,
+    and only the queries with several snap theirs.
     """
-    costs /= _LOG2
-    np.maximum(costs, 0.0, out=costs)
-    best = costs.min(axis=1, keepdims=True)
-    near = costs <= best * _NEAR_MINIMUM + LOSS_FLOOR
-    snapped = np.full(costs.shape, np.inf)
-    snapped[near] = _quantize(costs[near])
-    return snapped.argmin(axis=1)
+    best = costs.argmin(axis=1)
+    lowest = costs[np.arange(costs.shape[0]), best]
+    window = (np.maximum(lowest, 0.0) + LOSS_FLOOR * _LOG2) * _NEAR_MINIMUM
+    near = costs <= window[:, None]
+    crowded = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+    if crowded.size:
+        owners, rows = np.nonzero(near[crowded])
+        snapped = _quantize(np.maximum(costs[crowded[owners], rows] / _LOG2,
+                                       0.0))
+        # Sort the cells by query, snapped loss and row: each query's first
+        # cell is its answer.
+        order = np.lexsort((rows, snapped, owners))
+        first = np.searchsorted(owners[order], np.arange(crowded.size))
+        best[crowded] = rows[order[first]]
+    return best
+
+
+#: A posting longer than this many rows is *heavy*.  Queries that share a
+#: prior and their heavy columns and masses (a *part*) share one cost row,
+#: so a heavy posting is costed once per part, not once per query.  On
+#: ``dblp(8000, seed=1)`` at phi=0, cuts of 128, 256 and 512 rows leave
+#: 40, 27 and 6 heavy columns over 905, 402 and 43 parts, and 61, 118 and
+#: 453 light hits per query.  Phase 3 there took 432 ms at 128 and
+#: 372-383 ms from 256 to 1,024; 256 is the plateau's fewest light hits.
+HEAVY_POSTING_ROWS = 256
 
 
 def postings_bytes(dcfs, block: int) -> int:
     """Byte estimate of a :class:`PostingsDCFSet` over ``dcfs`` plus the
     per-row scratch of one :meth:`PostingsDCFSet.closest_many` block of
-    ``block`` objects (about three ``float64`` cells per object and row);
+    ``block`` objects: about three ``float64`` cells per object and row,
+    and a fourth for the object's part row.
     :meth:`PostingsDCFSet.hit_bytes` adds the block's posting hits.  Used
     for the memory governor's cooperative refusal, like :func:`dense_bytes`.
     """
     nonzeros = sum(len(dcf.mass) for dcf in dcfs)
-    return 16 * nonzeros + (16 + 24 * block) * len(dcfs)
+    return 16 * nonzeros + (16 + 32 * block) * len(dcfs)
 
 
 class PostingsDCFSet:
@@ -293,6 +317,13 @@ class PostingsDCFSet:
     :meth:`closest_many` for blocks of objects; the daemon's assigner asks
     :meth:`closest` for one row at a time, then :meth:`absorb` merges it.
 
+    A posting longer than :data:`HEAVY_POSTING_ROWS` is heavy.  A query's
+    *part* is its prior with its heavy columns and masses; the queries of a
+    part share one cost row (the prior's base term plus the heavy terms),
+    and each adds only its light hits to its copy.  The set keeps the part
+    rows of the last block it costed, so blocks ordered by part
+    (:meth:`part_order`) cost each part about once.
+
     Attributes
     ----------
     postings:
@@ -301,9 +332,11 @@ class PostingsDCFSet:
         ``(n,)`` cluster priors ``W``.
     wlogw:
         ``(n,)`` cached ``W ln W``.
+    heavy:
+        The keys of the heavy postings.
     """
 
-    __slots__ = ("postings", "weights", "wlogw")
+    __slots__ = ("postings", "weights", "wlogw", "heavy", "_parts", "_scratch")
 
     def __init__(self, dcfs):
         global _pack_seconds
@@ -328,8 +361,13 @@ class PostingsDCFSet:
             key: (rows[start:stop], masses[start:stop])
             for key, start, stop in zip(ids, bounds, bounds[1:])
         }
+        keys = list(ids)
+        self.heavy = {keys[code] for code in
+                      np.flatnonzero(counts > HEAVY_POSTING_ROWS).tolist()}
         self.weights = np.array([dcf.weight for dcf in dcfs], dtype=np.float64)
         self.wlogw = _xlogx(self.weights)
+        self._parts: dict = {}
+        self._scratch = np.empty((0, len(dcfs)))
         _pack_seconds += time.perf_counter() - started
 
     def __len__(self) -> int:
@@ -343,23 +381,17 @@ class PostingsDCFSet:
         query column adds ``m ln m + v ln v - (m+v)ln(m+v)`` at its posting
         rows only, since the term is zero where a row has no mass.  Losses
         are snapped to the shared grid and ties go to the lowest row, as in
-        :func:`repro.clustering.dcf.closest`.
+        :func:`repro.clustering.dcf.closest`.  One query has no part to
+        share, so every column is costed here, heavy or light.
         """
         costs = (_xlogx_positive(self.weights + weight) - self.wlogw
                  - _xlogx_scalar(weight))[None, :]
-        self._add_hits(costs, [mass], np.ones(1))
-        return int(_closest_rows(costs)[0])
-
-    def hit_bytes(self, rows) -> int:
-        """Byte estimate of the hit scratch of ``closest_many(rows, ...)``:
-        40 bytes per posting row a query column reaches (the positions and
-        their offset temporary, and the masses, merged and terms cells of
-        :meth:`_add_hits`), as tracemalloc measures it on DBLP blocks.
-        """
         postings = self.postings
-        return 40 * sum(len(postings[key][0]) for row in rows
-                        for key, p in row.items()
-                        if p > 0.0 and key in postings)
+        self._add_hits(costs, [(posting, m, 0) for key, m in mass.items()
+                               if m > 0.0
+                               and (posting := postings.get(key)) is not None],
+                       _ONE)
+        return int(_closest_rows(costs)[0])
 
     def closest_many(self, rows, priors) -> list[int]:
         """:meth:`closest` for a block of objects, in one pass.
@@ -367,31 +399,114 @@ class PostingsDCFSet:
         ``rows`` are sparse conditionals ``p(T|v)`` and ``priors`` the
         matching ``p(v)``; an object's masses are ``p(v) p(t|v)`` over its
         positive entries, as :class:`repro.clustering.dcf.DCF` builds them.
-        Every cost is the float :meth:`closest` computes for that object, so
-        the answers are the same.
+        Each object's costs are its part row plus its light hits: the terms
+        :meth:`closest` sums, grouped differently, so the answers agree up
+        to roundoff on the shared grid.
         """
         weights = np.asarray(priors, dtype=np.float64)
         if (weights <= 0.0).any():
             raise ValueError("cluster prior must be positive")
-        # Tuple priors are all 1/n: cost each distinct prior's row once.
-        unique, inverse = np.unique(weights, return_inverse=True)
-        base = _xlogx_positive(self.weights + unique[:, None]) - self.wlogw
-        base -= np.array([_xlogx_scalar(w) for w in unique.tolist()])[:, None]
-        costs = base[inverse]
-        self._add_hits(costs, rows, weights)
+        parts, hits = self._split(rows, weights.tolist())
+        costs = self._part_rows(parts)
+        self._add_hits(costs, hits, weights)
         return _closest_rows(costs).tolist()
 
-    def _add_hits(self, costs: np.ndarray, rows, scales: np.ndarray) -> None:
-        """Add every query's hit terms to its ``costs`` row in place.
+    def part_order(self, rows, priors) -> list[int] | None:
+        """The indices of the objects of :meth:`closest_many`, grouped by
+        part in first-seen order; ``None`` when no posting is heavy (a
+        part is then a prior, and the objects keep their order)."""
+        if not self.heavy:
+            return None
+        heavy = self.heavy
+        groups: dict = {}
+        for index, (row, w) in enumerate(zip(rows, priors)):
+            part = (w, tuple((key, w * p) for key, p in row.items()
+                             if p > 0.0 and key in heavy))
+            groups.setdefault(part, []).append(index)
+        return [index for members in groups.values() for index in members]
 
-        Query ``i`` has mass ``scales[i] * p`` at each column of ``rows[i]``
-        with ``p > 0``.  The postings of its columns are gathered into one
-        ragged run, and one ``np.bincount`` adds the terms of all queries.
+    def hit_bytes(self, rows, priors) -> int:
+        """Byte estimate of the hit scratch of ``closest_many(rows, priors)``:
+        40 bytes per posting row a light column or a part's heavy column
+        reaches (the positions and their offset temporary, and the masses,
+        merged and terms cells of :meth:`_add_hits`), as tracemalloc
+        measures it on DBLP blocks.
         """
+        parts, hits = self._split(rows, priors)
         postings = self.postings
-        hits = [(posting, p, i) for i, row in enumerate(rows)
+        return 40 * (sum(len(posting[0]) for posting, _, _ in hits)
+                     + sum(len(postings[key][0]) for part in set(parts)
+                           for key, _ in part[1]))
+
+    def _split(self, rows, priors):
+        """One pass over the block's ``(key, p)`` pairs: each query's part
+        ``(prior, ((heavy key, mass), ...))`` and its light hits
+        ``(posting, p, query)``; columns no row carries are dropped."""
+        postings = self.postings
+        if not self.heavy:
+            return [(w, ()) for w in priors], [
+                (posting, p, i) for i, row in enumerate(rows)
                 for key, p in row.items()
                 if p > 0.0 and (posting := postings.get(key)) is not None]
+        heavy = self.heavy
+        parts, hits = [], []
+        for i, (row, w) in enumerate(zip(rows, priors)):
+            part = []
+            for key, p in row.items():
+                if p > 0.0 and (posting := postings.get(key)) is not None:
+                    if key in heavy:
+                        part.append((key, w * p))
+                    else:
+                        hits.append((posting, p, i))
+            parts.append((w, tuple(part)))
+        return parts, hits
+
+    def _part_rows(self, parts) -> np.ndarray:
+        """A ``(queries, rows)`` array holding each query's part row.
+
+        Rows of parts the last block also had are reused.  Each other
+        part's row is its prior's base term, computed once per distinct
+        prior, plus the terms of its heavy columns, added one part at a
+        time so that only one part's heavy hits are held at once.  The set
+        then keeps only this block's part rows.
+        """
+        index: dict = {}
+        inverse = [index.setdefault(part, len(index)) for part in parts]
+        kept = self._parts
+        table = np.empty((len(index), len(self)))
+        fresh = []
+        for part, row in zip(index, table):
+            if part in kept:
+                row[:] = kept[part]
+            else:
+                fresh.append((part, row))
+        if fresh:
+            weights = np.array([w for (w, _), _ in fresh], dtype=np.float64)
+            unique, which = np.unique(weights, return_inverse=True)
+            base = _xlogx_positive(self.weights + unique[:, None]) - self.wlogw
+            base -= np.array([_xlogx_scalar(w) for w in unique.tolist()])[:, None]
+            postings = self.postings
+            for ((_, heavy), row), u in zip(fresh, which.tolist()):
+                row[:] = base[u]
+                self._add_hits(row[None, :], [(postings[key], m, 0)
+                                              for key, m in heavy], _ONE)
+        self._parts = dict(zip(index, table))
+        # The block's cost rows reuse one buffer: a fresh block x rows array
+        # per block lets the allocator hand its pages back and fault them
+        # in again (about 1M minor faults over dblp(8000) at phi=0, doubling
+        # Phase 3).
+        if self._scratch.shape[0] < len(parts):
+            self._scratch = np.empty((len(parts), len(self)))
+        return np.take(table, inverse, axis=0, out=self._scratch[:len(parts)])
+
+    @staticmethod
+    def _add_hits(costs: np.ndarray, hits, scales: np.ndarray) -> None:
+        """Add the hit terms to ``costs`` in place.
+
+        A hit ``(posting, p, i)`` adds the terms of mass ``scales[i] * p``
+        at the posting's rows of ``costs[i]``.  The postings are gathered
+        into one ragged run, and one ``np.bincount`` adds them all.
+        """
         if not hits:
             return
         held, values, owners = zip(*hits)
@@ -418,7 +533,11 @@ class PostingsDCFSet:
                              minlength=costs.size).reshape(costs.shape)
 
     def absorb(self, row: int, mass, weight: float) -> None:
-        """Merge a query into ``row`` in place (Equations 1-2)."""
+        """Merge a query into ``row`` in place (Equations 1-2).
+
+        A posting the merge lengthens past :data:`HEAVY_POSTING_ROWS`
+        becomes heavy, and the kept part rows are dropped.
+        """
         for key, v in mass.items():
             rows, masses = self.postings.get(key, _NO_POSTING)
             at = int(np.searchsorted(rows, row))
@@ -427,8 +546,11 @@ class PostingsDCFSet:
             else:
                 self.postings[key] = (np.insert(rows, at, row),
                                       np.insert(masses, at, v))
+                if rows.size >= HEAVY_POSTING_ROWS:
+                    self.heavy.add(key)
         self.weights[row] += weight
         self.wlogw[row] = _xlogx_scalar(float(self.weights[row]))
+        self._parts = {}
 
 
 class DenseMergeEngine:

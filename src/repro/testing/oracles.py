@@ -26,10 +26,17 @@ The row-tuple oracles (:func:`partition_of_rows`,
 builders: they compare or hash the row tuples directly, so the columnar
 parity suite can demand exact agreement.
 
-:class:`ReferenceDCFTree` at the end is the DCF-tree without the fused
-scan: one :func:`reference_merge_cost` call per entry and an absorb that
-takes every log again.  The fused tree must build the same leaves bit for
-bit, and ``benchmarks/bench_clustering.py`` times the two.
+:class:`ReferenceDCFTree` is the DCF-tree without the fused scan: one
+:func:`reference_merge_cost` call per entry and an absorb that takes every
+log again.  The fused tree must build the same leaves bit for bit, and
+``benchmarks/bench_clustering.py`` times the two.
+
+:class:`ReferencePostingsDCFSet` at the end is the Phase-3 postings kernel
+as it ran before heavy and light columns: every query gathers every
+posting of its columns.  :func:`reference_assign_rows`
+runs it over 64-object blocks in the objects' own order; the production
+association must pick the same representatives, and the benchmark times
+the two.
 """
 
 from __future__ import annotations
@@ -37,11 +44,20 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from repro.clustering.dcf import _LOG2, DCF, _xlogx, quantize_loss
+import numpy as np
+
+from repro.clustering.dcf import _LOG2, DCF, LOSS_FLOOR, _xlogx, quantize_loss
 from repro.clustering.dcf_tree import _MERGE_EPSILON, DCFTree, _Node
 from repro.fd.dependency import FD
 from repro.fd.partitions import Partition
 from repro.fd.reliable import ReliableFD, reliable_score
+from repro.kernels.dense import (
+    _NEAR_MINIMUM,
+    PostingsDCFSet,
+    _quantize,
+    _xlogx_positive,
+    _xlogx_scalar,
+)
 from repro.relation.matrices import (
     TupleView,
     ValueCatalog,
@@ -373,3 +389,82 @@ class ReferenceDCFTree(DCFTree):
             )
 
         return build(group_a), build(group_b)
+
+
+class ReferencePostingsDCFSet(PostingsDCFSet):
+    """:class:`repro.kernels.PostingsDCFSet` as it ran before heavy and
+    light columns: every query gathers every posting of its columns, each
+    block starts from one base row per distinct prior and adds all of its
+    queries' hits with one ``np.bincount``, and every cell near a query's
+    minimum is snapped.  The postings build and :meth:`absorb` are the
+    production set's.
+    """
+
+    def closest(self, mass, weight: float) -> int:
+        costs = (_xlogx_positive(self.weights + weight) - self.wlogw
+                 - _xlogx_scalar(weight))[None, :]
+        self._add_all_hits(costs, [mass], np.ones(1))
+        return int(_reference_closest_rows(costs)[0])
+
+    def closest_many(self, rows, priors) -> list[int]:
+        weights = np.asarray(priors, dtype=np.float64)
+        if (weights <= 0.0).any():
+            raise ValueError("cluster prior must be positive")
+        unique, inverse = np.unique(weights, return_inverse=True)
+        base = _xlogx_positive(self.weights + unique[:, None]) - self.wlogw
+        base -= np.array([_xlogx_scalar(w) for w in unique.tolist()])[:, None]
+        costs = base[inverse]
+        self._add_all_hits(costs, rows, weights)
+        return _reference_closest_rows(costs).tolist()
+
+    def _add_all_hits(self, costs, rows, scales) -> None:
+        postings = self.postings
+        hits = [(posting, p, i) for i, row in enumerate(rows)
+                for key, p in row.items()
+                if p > 0.0 and (posting := postings.get(key)) is not None]
+        if not hits:
+            return
+        held, values, owners = zip(*hits)
+        held_rows, held_masses = zip(*held)
+        lengths = np.fromiter(map(len, held_rows), dtype=np.intp,
+                              count=len(held_rows))
+        owners = np.array(owners)
+        values = np.array(values) * scales[owners]
+        positions = np.concatenate(held_rows)
+        positions += np.repeat(owners * costs.shape[1], lengths)
+        masses, merged, terms = np.empty((3, positions.size))
+        np.concatenate(held_masses, out=masses)
+        np.log(masses, out=terms)
+        terms *= masses
+        terms += np.repeat(_xlogx_positive(values), lengths)
+        masses += np.repeat(values, lengths)
+        np.log(masses, out=merged)
+        merged *= masses
+        terms -= merged
+        costs += np.bincount(positions, weights=terms,
+                             minlength=costs.size).reshape(costs.shape)
+
+
+def _reference_closest_rows(costs) -> np.ndarray:
+    """Per query, the lowest row with the minimum snapped loss, snapping
+    every cell within the grid window of the raw minimum; ``costs`` is
+    consumed in place."""
+    costs /= _LOG2
+    np.maximum(costs, 0.0, out=costs)
+    best = costs.min(axis=1, keepdims=True)
+    near = costs <= best * _NEAR_MINIMUM + LOSS_FLOOR
+    snapped = np.full(costs.shape, np.inf)
+    snapped[near] = _quantize(costs[near])
+    return snapped.argmin(axis=1)
+
+
+def reference_assign_rows(representatives, rows, priors) -> list[int]:
+    """Phase 3 through :class:`ReferencePostingsDCFSet`, 64 objects a
+    block in the objects' own order."""
+    postings = ReferencePostingsDCFSet(representatives)
+    rows, priors = list(rows), list(priors)
+    assignment: list[int] = []
+    for start in range(0, len(rows), 64):
+        assignment.extend(postings.closest_many(rows[start:start + 64],
+                                                priors[start:start + 64]))
+    return assignment

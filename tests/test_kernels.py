@@ -8,6 +8,7 @@ loop must reproduce the sparse merge sequence bit-for-bit.
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.clustering import DCF, aib, merge, merge_cost
 from repro.clustering.dcf import LOSS_QUANTUM_BITS, closest, quantize_loss
+from repro.testing.oracles import ReferencePostingsDCFSet
 
 TOL = 1e-9
 
@@ -457,7 +459,8 @@ def postings_cases(draw):
     Column keys are ints, strings or a mix, and some representatives may be
     copies of others.  Queries may name up to three columns no DCF in the
     set carries (so absorbs open new postings), carry zero-mass entries,
-    or be empty.
+    or be empty.  Priors and masses repeat often enough that queries
+    share a prior and heavy masses (a part), within and across blocks.
     """
     n_columns = draw(st.integers(1, 5))
     spell = draw(st.sampled_from([int, str, mixed_key]))
@@ -467,9 +470,11 @@ def postings_cases(draw):
     dcfs += [dcfs[i].copy() for i in draw(
         st.lists(st.integers(0, len(dcfs) - 1), max_size=2))]
     query = st.dictionaries(st.integers(0, n_columns + 2).map(spell),
-                            st.just(0.0) | st.floats(0.01, 1.0), max_size=4)
+                            st.sampled_from([0.0, 0.5])
+                            | st.floats(0.01, 1.0), max_size=4)
     blocks = draw(st.lists(
-        st.tuples(st.lists(st.tuples(st.floats(0.001, 0.5), query),
+        st.tuples(st.lists(st.tuples(st.sampled_from([0.125, 0.25])
+                                     | st.floats(0.001, 0.5), query),
                            min_size=1, max_size=4),
                   st.booleans()),
         min_size=1, max_size=4))
@@ -515,6 +520,91 @@ class TestPostingsDCFSet:
                 self.assert_scalar_minimum(dcfs, query, row)
             if absorb:
                 self.absorb_all(postings, dcfs, queries, chosen)
+
+    @given(postings_cases(), st.integers(1, 3))
+    def test_heavy_parts_match_every_oracle_across_absorbs(self, case, cut):
+        # Postings longer than ``cut`` rows are heavy, so heavy and light
+        # columns mix in most blocks, and absorbs lengthen postings past it.
+        dcfs, blocks = case
+        with mock.patch.object(kernels.dense, "HEAVY_POSTING_ROWS", cut):
+            postings = kernels.PostingsDCFSet(dcfs)
+            reference = ReferencePostingsDCFSet(dcfs)
+            for block, absorb in blocks:
+                rows = [row for _, row in block]
+                priors = [weight for weight, _ in block]
+                queries = [DCF(weight, row) for weight, row in block]
+                chosen = postings.closest_many(rows, priors)
+                assert chosen == reference.closest_many(rows, priors)
+                assert chosen == [postings.closest(q.mass, q.weight)
+                                  for q in queries]
+                assert chosen == [closest(dcfs, q)[0] for q in queries]
+                if absorb:
+                    for query, row in zip(queries, chosen):
+                        reference.absorb(row, query.mass, query.weight)
+                    self.absorb_all(postings, dcfs, queries, chosen)
+                assert postings.heavy == {
+                    key for key, (held, _) in postings.postings.items()
+                    if len(held) > cut}
+
+    def test_absorb_marks_the_postings_it_lengthens_past_the_cut(self):
+        dcfs = [DCF(0.25, {0: 1.0}), DCF(0.25, {0: 0.5, 1: 0.5}),
+                DCF(0.5, {1: 1.0})]
+        rows, priors = [{0: 0.5, 1: 0.5}, {0: 1.0}, {1: 1.0}], [0.1] * 3
+        with mock.patch.object(kernels.dense, "HEAVY_POSTING_ROWS", 2):
+            postings = kernels.PostingsDCFSet(dcfs)
+            reference = ReferencePostingsDCFSet(dcfs)
+            assert postings.heavy == set()
+            postings.closest_many(rows, priors)
+            for absorbing in (postings, reference):
+                absorbing.absorb(2, {0: 0.05}, 0.1)
+            assert postings.heavy == {0}
+            assert postings.closest_many(rows, priors) == \
+                reference.closest_many(rows, priors)
+
+    def test_absorb_drops_the_kept_part_rows(self):
+        dcfs = [DCF(0.25, {2: 1.0}), DCF(0.5, {2: 1.0}), DCF(0.25, {2: 0.5})]
+        rows, priors = [{1: 0.5}, {2: 1.0}], [0.1, 0.1]
+        with mock.patch.object(kernels.dense, "HEAVY_POSTING_ROWS", 1):
+            postings = kernels.PostingsDCFSet(dcfs)
+        assert postings.heavy == {2}
+        assert postings.closest_many(rows, priors) == [0, 0]
+        # Row 0 grows from 0.25 to 0.35, which changes both parts' rows: the
+        # rows costed before the absorb would still answer [0, 0].
+        query = DCF(0.1, {0: 1.0})
+        self.absorb_all(postings, dcfs, [query], [0])
+        assert postings.closest_many(rows, priors) == [2, 1] == \
+            [closest(dcfs, DCF(w, row))[0] for w, row in zip(priors, rows)]
+
+    def test_queries_of_a_part_share_its_row_within_and_across_blocks(self):
+        dcfs = [DCF(0.25, {0: 1.0}), DCF(0.25, {2: 0.5}), DCF(0.25, {2: 1.0})]
+        with mock.patch.object(kernels.dense, "HEAVY_POSTING_ROWS", 1):
+            postings = kernels.PostingsDCFSet(dcfs)
+        reference = ReferencePostingsDCFSet(dcfs)
+        assert postings.heavy == {2}
+        # Two parts share prior 0.1: column 2 at mass 0.1, and no heavy
+        # column.  The first block costs each once for two objects; the
+        # second reuses the row of the part without a heavy column, which
+        # must not be confused with the other part of its prior.
+        blocks = [[{2: 1.0}, {0: 1.0}, {2: 1.0}, {0: 1.0}],
+                  [{1: 1.0}, {1: 1.0}]]
+        for rows in blocks:
+            priors = [0.1] * len(rows)
+            chosen = postings.closest_many(rows, priors)
+            assert chosen == reference.closest_many(rows, priors)
+            assert chosen == [closest(dcfs, DCF(w, row))[0]
+                              for w, row in zip(priors, rows)]
+
+    def test_part_order_groups_objects_by_part(self):
+        dcfs = [DCF(0.5, {0: 1.0}), DCF(0.5, {0: 0.5, 1: 0.5})]
+        rows = [{0: 1.0}, {1: 1.0}, {0: 0.5, 1: 0.5}, {0: 1.0}, {1: 0.5}]
+        priors = [0.2] * 5
+        assert kernels.PostingsDCFSet(dcfs).part_order(rows, priors) is None
+        with mock.patch.object(kernels.dense, "HEAVY_POSTING_ROWS", 1):
+            postings = kernels.PostingsDCFSet(dcfs)
+        assert postings.heavy == {0}
+        # Parts: column 0 at mass 0.2 (objects 0 and 3), no heavy column
+        # (1 and 4), column 0 at mass 0.1 (2).
+        assert postings.part_order(rows, priors) == [0, 3, 1, 4, 2]
 
     def test_postings_hold_the_dcf_masses(self):
         dcfs = [DCF(0.5, {0: 0.5, 2: 0.5}), DCF(0.5, {2: 1.0})]

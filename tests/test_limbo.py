@@ -103,6 +103,23 @@ class TestPhases2And3:
         assignment = limbo.assign(reps, rows=[view.rows[0]], priors=[1.0])
         assert assignment == [limbo.assign(reps)[0]]
 
+    def test_objects_ordered_by_part_keep_their_scalar_assignment(self):
+        # At phi=0 all 300 summaries of dblp(300) carry the NULL literal,
+        # so its posting is heavy and Phase 3 reorders the tuples by part;
+        # each tuple must still get the scalar scan's answer, in place.
+        from repro import kernels
+        from repro.clustering.limbo import assign_rows
+        from repro.datasets import dblp
+
+        view = build_tuple_view(dblp(300, seed=1))
+        limbo = Limbo(phi=0.0).fit(view.rows, view.priors)
+        rows, priors = list(view.rows), list(view.priors)
+        postings = kernels.PostingsDCFSet(limbo.summaries)
+        order = postings.part_order(rows, priors)
+        assert postings.heavy and order != sorted(order)
+        assert assign_rows(limbo.summaries, rows, priors, "auto") == \
+            assign_rows(limbo.summaries, rows, priors, "sparse")
+
     def test_assign_requires_representatives(self, two_blocks):
         view = build_tuple_view(two_blocks)
         limbo = Limbo(phi=0.0).fit(view.rows, view.priors)
@@ -256,8 +273,9 @@ class TestAssignCheckpointCadence:
 
 
 class TestPhaseThreeGovernor:
-    """Phase 3's cooperative memory check books the representatives'
-    postings plus one block's scratch, which grows with their count."""
+    """Phase 3's cooperative memory check admits the representatives'
+    postings at their own size plus one object's scratch and part row,
+    and each block at its own size plus its posting hits."""
 
     N_REPS, N_COLUMNS = 2000, 2084
 
@@ -287,17 +305,22 @@ class TestPhaseThreeGovernor:
         monkeypatch.setattr(kernels, "PostingsDCFSet", Recording)
         return built
 
-    def test_capped_run_takes_sparse_loop(self, monkeypatch):
+    def test_capped_run_builds_the_kernel_at_its_own_size(self, monkeypatch):
+        # The set with one object's scratch and part row is estimated at
+        # 0.16 MB, under the 1 MiB cap; a full block's scratch would be
+        # 4.2 MB.  The block of two objects is admitted at 0.22 MB.
+        from repro import kernels
         from repro.budget import MemoryGovernor
         from repro.clustering.limbo import assign_rows
 
         reps = self.wide_representatives()
+        assert kernels.postings_bytes(reps, 1) == 160_000
         built = self.builds(monkeypatch)
         budget = RecordingBudget()
         budget.memory = MemoryGovernor(1 << 20)
         rows = [{0: 0.5, self.N_REPS: 0.5}, {7: 1.0}]
         assignment = assign_rows(reps, rows, [0.5, 0.5], "auto", budget=budget)
-        assert built == []
+        assert built == [(self.N_REPS, self.N_COLUMNS)]
         assert assignment == [0, 7]
         assert budget.memory.reserved == 0
 
@@ -325,11 +348,14 @@ class TestPhaseThreeMemory:
 
     def test_cap_counts_each_blocks_posting_hits(self, dblp_phase3,
                                                  monkeypatch):
-        # The set and a block's cost cells are estimated at 3.3 MB, but a
-        # full block's ~137k posting hits take tracemalloc to 6.5 MB.  Under
-        # a 6 MB cap the full block is refused and runs in the kernel as two
-        # halves of 32, each estimated at its own size; the short block of
-        # 16 objects fits whole.  The assignments are the same.
+        # The set and a full block's cost cells and part rows are
+        # estimated at 4.31 MB, and the block's posting hits (its light
+        # hits, and the heavy NULL posting once per part) add 0.54 MB.
+        # Under a 4.5 MiB (4.72 MB) cap the full block is refused only for
+        # its hits and runs in the kernel as two halves of 32 (2.52 and
+        # 2.62 MB); the short block of 16 objects fits whole (1.52 MB).
+        # tracemalloc peaks at about 2.0 MB, and the assignments are the
+        # same.
         import tracemalloc
 
         from repro import kernels
@@ -348,7 +374,7 @@ class TestPhaseThreeMemory:
         uncapped = assign_rows(summaries, rows, priors, "auto")
         monkeypatch.setattr(kernels.PostingsDCFSet, "closest_many", spy)
         budget = RecordingBudget()
-        cap = 6 * 2 ** 20
+        cap = 9 * 2 ** 19
         budget.memory = MemoryGovernor(cap)
         tracemalloc.start()
         try:
@@ -362,9 +388,11 @@ class TestPhaseThreeMemory:
         assert peak < cap
 
     def test_dblp_association_peak_stays_small(self, dblp_phase3):
-        # A dense pack of these summaries peaks at about 58 MB (a 2,000 x
-        # 2,084 float64 matrix plus a reps x block-non-zeros slab); the
-        # postings kernel needs under 8.
+        # A dense pack of these summaries peaked at about 58 MB (a 2,000 x
+        # 2,084 float64 matrix plus a reps x block-non-zeros slab), and the
+        # postings kernel at 7.4 MiB while every tuple gathered the NULL
+        # column's 2,000-row posting.  Costing that heavy posting once per
+        # part leaves about 3.7 MiB.
         import tracemalloc
 
         from repro.clustering.limbo import assign_rows
@@ -377,4 +405,4 @@ class TestPhaseThreeMemory:
         finally:
             tracemalloc.stop()
         assert len(assignment) == len(rows)
-        assert peak < 16 * 2 ** 20
+        assert peak < 5 * 2 ** 20
